@@ -1,24 +1,24 @@
 // Copyright 2026 The WWT Authors
 //
-// Cold-start bench: the zero-copy claim, measured. Builds one corpus,
-// saves it as both a v3 (materialized-load) and a v4 (mmap-native)
-// snapshot, then times LoadSnapshot of each — the v4 load is an mmap +
-// O(nterms) structural validation, so it should beat the v3
-// decode-everything load by an order of magnitude at serving scales.
-// Both loads are verified to serve the stored workload byte-identically
-// before any number is reported; post-load RSS deltas show how much of
-// each corpus is resident vs paged.
+// Cold-start bench: the offline/online split, measured. Builds one
+// corpus (timed — the rebuild a cold start would otherwise pay), serves
+// the stored workload from it, saves it as a v4 (mmap-native) snapshot,
+// drops it, then times LoadSnapshot of the file. The load is an mmap +
+// O(nterms) structural validation, so it should beat the rebuild by
+// orders of magnitude. Answers served from the load are verified
+// byte-identical to those served from the built corpus before any
+// number is reported; the post-load RSS delta shows how much of the
+// corpus is resident vs paged.
 //
 // Knobs (on top of bench_common's WWT_SCALE / WWT_SEED /
 // WWT_BENCH_JSON):
-//   WWT_COLDSTART_REPS — load repetitions per version; the minimum is
-//                        reported (default 3)
+//   WWT_COLDSTART_REPS — load repetitions; the minimum is reported
+//                        (default 3)
 //
 // JSON summary (WWT_BENCH_JSON), gated by bench_compare:
 //   {"bench": "coldstart", "scale": ..., "seed": ..., "reps": ...,
-//    "generate_seconds": ..., "file_bytes_v3": ..., "file_bytes_v4": ...,
-//    "load_v3_seconds": ..., "load_v4_seconds": ..., "speedup": ...,
-//    "rss_v3_kb": ..., "rss_v4_kb": ..., "identical": true}
+//    "generate_seconds": ..., "file_bytes": ..., "load_seconds": ...,
+//    "speedup": ..., "rss_kb": ..., "identical": true}
 
 #include <cstdio>
 #include <cstdlib>
@@ -126,59 +126,46 @@ int main() {
   options.seed = seed;
   options.scale = scale;
 
-  const std::string v3_path = TempSnapshotPath("v3");
-  const std::string v4_path = TempSnapshotPath("v4");
+  const std::string path = TempSnapshotPath("v4");
 
   double generate_seconds = 0;
+  std::vector<std::string> built_digests;
   {
-    // Build once, save both versions, then drop the builder corpus so
-    // the loads below are measured against a quiet heap.
+    // Build once, serve the reference answers, save, then drop the
+    // builder corpus so the load below is measured against a quiet heap.
     WallTimer timer;
     Corpus corpus = GenerateCorpus(options);
     generate_seconds = timer.ElapsedSeconds();
-    WWT_CHECK_OK(SaveSnapshotAtVersion(corpus, options, v3_path, 3));
-    WWT_CHECK_OK(SaveSnapshot(corpus, options, v4_path));
+    built_digests = ServeDigests(corpus, /*content_hash=*/0);
+    WWT_CHECK_OK(SaveSnapshot(corpus, options, path));
   }
-  const uint64_t file_bytes_v3 = FileBytes(v3_path);
-  const uint64_t file_bytes_v4 = FileBytes(v4_path);
+  const uint64_t file_bytes = FileBytes(path);
   std::fprintf(stderr,
                "[bench] corpus scale=%.2f seed=%llu built in %.2f s "
-               "(v3 %llu bytes, v4 %llu bytes)\n",
+               "(snapshot %llu bytes)\n",
                scale, static_cast<unsigned long long>(seed),
-               generate_seconds,
-               static_cast<unsigned long long>(file_bytes_v3),
-               static_cast<unsigned long long>(file_bytes_v4));
+               generate_seconds, static_cast<unsigned long long>(file_bytes));
 
-  // v4 first so its RSS delta is read against the post-build floor; the
-  // v3 delta is then read on top of the (still-pinned) v4 mapping,
-  // which only pages in what serving touched.
-  std::optional<Corpus> v4_corpus;
-  SnapshotInfo v4_info;
-  const long rss_before_v4 = ResidentKb();
-  const double load_v4_seconds = TimeLoads(v4_path, reps, &v4_corpus, &v4_info);
-  const long rss_v4_kb = ResidentKb() - rss_before_v4;
+  std::optional<Corpus> loaded;
+  SnapshotInfo info;
+  const long rss_before = ResidentKb();
+  const double load_seconds = TimeLoads(path, reps, &loaded, &info);
+  const long rss_kb = ResidentKb() - rss_before;
 
-  std::optional<Corpus> v3_corpus;
-  SnapshotInfo v3_info;
-  const long rss_before_v3 = ResidentKb();
-  const double load_v3_seconds = TimeLoads(v3_path, reps, &v3_corpus, &v3_info);
-  const long rss_v3_kb = ResidentKb() - rss_before_v3;
+  const double speedup = load_seconds > 0 ? generate_seconds / load_seconds : 0;
+  std::printf("cold start: rebuild %.4f s, load %.4f s  (%.1fx, min of %d)\n",
+              generate_seconds, load_seconds, speedup, reps);
+  std::printf("rss delta:  %+ld kB\n", rss_kb);
 
-  const double speedup =
-      load_v4_seconds > 0 ? load_v3_seconds / load_v4_seconds : 0;
-  std::printf("cold start: v3 %.4f s, v4 %.4f s  (%.1fx, min of %d)\n",
-              load_v3_seconds, load_v4_seconds, speedup, reps);
-  std::printf("rss delta:  v3 %+ld kB, v4 %+ld kB\n", rss_v3_kb, rss_v4_kb);
-
-  // Correctness gate: both loads must answer the stored workload with
-  // byte-identical digests. No number above matters if this is false.
-  const std::vector<std::string> v3_digests =
-      ServeDigests(*v3_corpus, v3_info.content_hash);
-  const std::vector<std::string> v4_digests =
-      ServeDigests(*v4_corpus, v4_info.content_hash);
-  bool identical = v3_digests == v4_digests && !v3_digests.empty();
-  std::printf("answers:    %zu workload queries, %s\n", v3_digests.size(),
-              identical ? "byte-identical across versions" : "DIVERGED");
+  // Correctness gate: the load must answer the stored workload with
+  // digests byte-identical to the built corpus's. No number above
+  // matters if this is false.
+  const std::vector<std::string> loaded_digests =
+      ServeDigests(*loaded, info.content_hash);
+  const bool identical =
+      loaded_digests == built_digests && !built_digests.empty();
+  std::printf("answers:    %zu workload queries, %s\n", built_digests.size(),
+              identical ? "byte-identical to the built corpus" : "DIVERGED");
 
   if (FILE* json = OpenBenchJson()) {
     std::fprintf(json,
@@ -188,25 +175,19 @@ int main() {
                  "  \"seed\": %llu,\n"
                  "  \"reps\": %d,\n"
                  "  \"generate_seconds\": %.4f,\n"
-                 "  \"file_bytes_v3\": %llu,\n"
-                 "  \"file_bytes_v4\": %llu,\n"
-                 "  \"load_v3_seconds\": %.6f,\n"
-                 "  \"load_v4_seconds\": %.6f,\n"
+                 "  \"file_bytes\": %llu,\n"
+                 "  \"load_seconds\": %.6f,\n"
                  "  \"speedup\": %.2f,\n"
-                 "  \"rss_v3_kb\": %ld,\n"
-                 "  \"rss_v4_kb\": %ld,\n"
+                 "  \"rss_kb\": %ld,\n"
                  "  \"identical\": %s\n"
                  "}\n",
                  scale, static_cast<unsigned long long>(seed), reps,
-                 generate_seconds,
-                 static_cast<unsigned long long>(file_bytes_v3),
-                 static_cast<unsigned long long>(file_bytes_v4),
-                 load_v3_seconds, load_v4_seconds, speedup, rss_v3_kb,
-                 rss_v4_kb, identical ? "true" : "false");
+                 generate_seconds, static_cast<unsigned long long>(file_bytes),
+                 load_seconds, speedup, rss_kb,
+                 identical ? "true" : "false");
     std::fclose(json);
   }
 
-  std::remove(v3_path.c_str());
-  std::remove(v4_path.c_str());
+  std::remove(path.c_str());
   return identical ? 0 : 1;
 }

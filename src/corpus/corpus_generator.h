@@ -41,9 +41,9 @@ struct Corpus {
   TruthMap truth;
   std::vector<ResolvedQuery> queries;
   HarvestStats harvest_stats;
-  /// Pins the snapshot mapping a zero-copy (v4) corpus reads from; null
-  /// for generated or materialized (v2/v3) corpora. Shared so responses
-  /// in flight can outlive a SwapCorpus that drops the corpus itself.
+  /// Pins the snapshot mapping a loaded corpus reads from; null for
+  /// generated corpora. Shared so responses in flight can outlive a
+  /// SwapCorpus that drops the corpus itself.
   std::shared_ptr<const serde::InputFile> mapping;
 
   /// Truth for a table; nullptr for noise tables.

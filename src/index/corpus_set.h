@@ -97,8 +97,8 @@ class CorpusOverlay {
 /// (inside Corpus), plus the content hash identifying the artifact it
 /// came from. Handles are passed around as shared_ptr<const CorpusHandle>
 /// so an atomic swap can retire a snapshot while in-flight requests
-/// still hold it — and, for a zero-copy (v4) corpus, the handle keeps
-/// the file mapping pinned (Corpus::mapping) for exactly as long.
+/// still hold it — and, for a loaded corpus, the handle keeps the file
+/// mapping pinned (Corpus::mapping) for exactly as long.
 class CorpusHandle {
  public:
   /// Takes ownership of a built corpus. `content_hash` is the snapshot
@@ -141,7 +141,7 @@ class CorpusHandle {
   /// Borrow of in-memory corpora.
   uint32_t format_version() const { return format_version_; }
   /// Bytes served straight from the pinned file mapping (the whole
-  /// artifact for a zero-copy v4 corpus; 0 for materialized ones).
+  /// artifact for a loaded corpus; 0 for in-memory ones).
   uint64_t mapped_bytes() const;
   /// Heap bytes of the store + index (postings, scoring layout, vocab,
   /// df — near zero for a zero-copy corpus).
@@ -272,7 +272,7 @@ struct OpenCorpusResult {
 /// parse), a `.wwtset` manifest loads every shard (each a single
 /// open + checksum; only the tiny manifest itself is re-read). Clean
 /// Status on a missing file (IOError), unrecognized or damaged bytes
-/// (Corruption), or a format version out of range (InvalidArgument).
+/// (Corruption), or an unsupported format version (InvalidArgument).
 [[nodiscard]] StatusOr<OpenCorpusResult> OpenCorpus(const std::string& path);
 
 }  // namespace wwt

@@ -49,7 +49,7 @@ void EndSection(size_t body_start, serde::Writer* w) {
   w->PatchU64(body_start - sizeof(uint64_t), w->size() - body_start);
 }
 
-/// Validates a zero-copy offset table read in place from a v4 mapping:
+/// Validates a zero-copy offset table read in place from the mapping:
 /// offsets[0] == 0 and monotone non-decreasing, so every derived
 /// [offsets[i], offsets[i+1]) slice is a valid subrange of a blob of
 /// `offsets[n]` bytes. Returns the blob size through `total`.
@@ -76,18 +76,12 @@ Status ValidateOffsets(const uint64_t* offsets, uint64_t n, const char* what,
 
 class SnapshotCodec {
  public:
-  // ----- TableStore. v2/v3: length-prefixed record strings. v4: an
-  // aligned `u64 offsets[count + 1]` table + one record blob, read in
-  // place from the mapping on load.
-  static void WriteStore(const TableStore& store, uint32_t format_version,
-                         serde::Writer* w) {
+  // ----- TableStore: an aligned `u64 offsets[count + 1]` table + one
+  // record blob, read in place from the mapping on load.
+  static void WriteStore(const TableStore& store, serde::Writer* w) {
     const StoreSource& src = *store.source_;
     w->WriteU64(store.first_id_);
     w->WriteU64(src.size());
-    if (format_version < 4) {
-      for (size_t i = 0; i < src.size(); ++i) w->WriteString(src.record(i));
-      return;
-    }
     w->AlignTo(8, kHeaderBytes);
     uint64_t off = 0;
     for (size_t i = 0; i < src.size(); ++i) {
@@ -101,27 +95,14 @@ class SnapshotCodec {
     }
   }
 
-  static Status ReadStore(serde::Reader* r, uint32_t format_version,
-                          size_t base, TableStore* store) {
+  static Status ReadStore(serde::Reader* r, size_t base, TableStore* store) {
     uint64_t first_id, count;
     WWT_RETURN_NOT_OK(r->ReadU64(&first_id));
     WWT_RETURN_NOT_OK(r->ReadU64(&count));
-    WWT_RETURN_NOT_OK(r->CheckCount(count, format_version < 4 ? 8 : 1));
+    WWT_RETURN_NOT_OK(r->CheckCount(count, 1));
     if (first_id > UINT32_MAX || count > UINT32_MAX - first_id) {
       return Status::Corruption("store id range starting at ", first_id,
                                 " with ", count, " records exceeds TableId");
-    }
-    if (format_version < 4) {
-      std::vector<std::string> records;
-      records.reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        std::string rec;
-        WWT_RETURN_NOT_OK(r->ReadString(&rec));
-        records.push_back(std::move(rec));
-      }
-      store->MutableRecords() = std::move(records);
-      store->first_id_ = static_cast<TableId>(first_id);
-      return Status::OK();
     }
     WWT_RETURN_NOT_OK(r->AlignTo(8, base));
     const char* raw;
@@ -183,22 +164,17 @@ class SnapshotCodec {
     return shard;
   }
 
-  // ----- TableIndex: options, vocabulary, idf, postings, field stats,
-  // and (v3+) the merged block-max scoring layout. v4 swaps the
-  // per-element encodings for aligned offset tables + raw arrays the
-  // loader reads in place.
-  static Status WriteIndex(const TableIndex& index, uint32_t format_version,
-                           serde::Writer* w) {
-    if (format_version < 4 && index.heap_ == nullptr) {
-      // The v4 layout drops term frequencies and field lengths (they are
-      // baked into the precomputed scores), so a zero-copy corpus cannot
-      // be downgraded to the materialized formats.
-      return Status::InvalidArgument(
-          "cannot write a v", format_version,
-          " snapshot from a zero-copy (v4) corpus: term frequencies and "
-          "field lengths are not retained — save at v4 or rebuild from "
-          "source");
-    }
+  // ----- TableIndex: options, then aligned offset tables + raw arrays
+  // (vocabulary, df table, docs-only varint postings, the full merged
+  // scoring layout including block metadata) the loader reads in place.
+  // Written through the read surfaces (Term(), DocFreq(), AppendDocs(),
+  // the scoring view), so it works identically from a heap-built corpus
+  // and from an already-mapped one (re-saving / repartitioning a loaded
+  // file). Every raw array is preceded by a Writer::AlignTo(8) marker;
+  // the doubles the scorers consume are stored as the exact bit
+  // patterns the builder produced, which is what makes serving a loaded
+  // index byte-identical to serving the built one.
+  static void WriteIndex(const TableIndex& index, serde::Writer* w) {
     const IndexOptions& opt = index.options_;
     for (double boost : opt.boosts) w->WriteDouble(boost);
     w->WriteU8(opt.drop_query_stopwords ? 1 : 0);
@@ -210,67 +186,6 @@ class SnapshotCodec {
     w->WriteU8(tok.drop_stopwords ? 1 : 0);
     w->WriteU64(tok.min_token_length);
 
-    if (format_version >= 4) return WriteIndexV4(index, w);
-
-    const Vocabulary& vocab = index.vocab_;
-    w->WriteU64(vocab.size());
-    for (TermId t = 0; t < vocab.size(); ++t) w->WriteString(vocab.Term(t));
-
-    const IdfDictionary& idf = index.idf_;
-    w->WriteU32(idf.num_docs_);
-    w->WriteU64(idf.df_.size());
-    for (uint32_t df : idf.df_) w->WriteU32(df);
-
-    w->WriteU64(index.doc_count_);
-    for (int f = 0; f < kNumFields; ++f) {
-      const auto& lens = index.heap_->field_len[f];
-      w->WriteU64(lens.size());
-      for (uint32_t len : lens) w->WriteU32(len);
-
-      const auto& field_postings = index.heap_->postings[f];
-      w->WriteU64(field_postings.size());
-      for (const auto& plist : field_postings) {
-        w->WriteU64(plist.size());
-        for (const Posting& p : plist) {
-          w->WriteU32(p.doc);
-          w->WriteFloat(p.tf);
-        }
-      }
-    }
-
-    if (format_version >= 3) {
-      // v3 tail: the merged scoring layout's primary arrays (block size
-      // + per-term doc/score CSR). Block boundaries, block maxima and
-      // term maxima are cheap one-pass derivations, so the loader
-      // recomputes them — a corrupt-but-checksummed max can then never
-      // desynchronize WAND pruning from the stored scores.
-      index.EnsureScoringLayout();
-      const TableIndex::ScoringLayout& layout = index.scoring_;
-      w->WriteU32(layout.block_size);
-      const uint64_t nterms =
-          layout.offsets.empty() ? 0 : layout.offsets.size() - 1;
-      w->WriteU64(nterms);
-      for (uint64_t t = 0; t < nterms; ++t) {
-        const uint64_t begin = layout.offsets[t];
-        const uint64_t end = layout.offsets[t + 1];
-        w->WriteU64(end - begin);
-        for (uint64_t i = begin; i < end; ++i) w->WriteU32(layout.docs[i]);
-        for (uint64_t i = begin; i < end; ++i) {
-          w->WriteDouble(layout.scores[i]);
-        }
-      }
-    }
-    return Status::OK();
-  }
-
-  /// The v4 INDX body. Written through the read surfaces (Term(),
-  /// DocFreq(), AppendDocs(), the scoring view), so it works identically
-  /// from a heap-built corpus and from an already-mapped one
-  /// (re-saving / repartitioning a v4 file). Every raw array is
-  /// preceded by a Writer::AlignTo(8) marker; the doubles the scorers
-  /// consume are stored as the exact bit patterns the builder produced,
-  /// which is what makes v3 and v4 serving byte-identical.
-  static Status WriteIndexV4(const TableIndex& index, serde::Writer* w) {
     const Vocabulary& vocab = index.vocab_;
     const uint64_t nterms = vocab.size();
     w->WriteU64(nterms);
@@ -351,11 +266,20 @@ class SnapshotCodec {
     for (uint64_t i = 0; i < nblocks; ++i) w->WriteDouble(view.block_max[i]);
     w->AlignTo(8, kHeaderBytes);
     for (uint64_t t = 0; t < nterms; ++t) w->WriteDouble(view.term_max[t]);
-    return Status::OK();
   }
 
-  static Status ReadIndex(serde::Reader* r, uint32_t format_version,
-                          size_t base, std::unique_ptr<TableIndex>* out) {
+  /// Installs mapped views (vocabulary, df table, postings, scoring
+  /// layout) pointing straight into the file mapping. Validation is
+  /// O(#terms) STRUCTURAL — offset tables monotone and in-bounds,
+  /// permutation entries in range, block counts consistent — which is
+  /// exactly what the probe loops and view slicing rely on for memory
+  /// safety. Payload VALUES (doc ids inside blobs, scores) are not
+  /// audited: a tampered file can serve wrong answers, never an
+  /// out-of-bounds read (store lookups bounds-check, WAND only compares
+  /// doc values). `base` is the section body's absolute file offset, the
+  /// anchor the AlignTo markers are verified against.
+  static Status ReadIndex(serde::Reader* r, size_t base,
+                          std::unique_ptr<TableIndex>* out) {
     IndexOptions opt;
     for (double& boost : opt.boosts) WWT_RETURN_NOT_OK(r->ReadDouble(&boost));
     uint8_t flag;
@@ -375,151 +299,6 @@ class SnapshotCodec {
     WWT_RETURN_NOT_OK(r->ReadU64(&min_len));
     tok.min_token_length = static_cast<size_t>(min_len);
 
-    if (format_version >= 4) return ReadIndexV4(r, base, opt, tok, out);
-
-    auto index = std::make_unique<TableIndex>(opt, tok);
-
-    uint64_t vocab_size;
-    WWT_RETURN_NOT_OK(r->ReadU64(&vocab_size));
-    WWT_RETURN_NOT_OK(r->CheckCount(vocab_size, 8));
-    std::string term;
-    for (uint64_t t = 0; t < vocab_size; ++t) {
-      WWT_RETURN_NOT_OK(r->ReadString(&term));
-      const TermId id = index->vocab_.Intern(term);
-      if (id != t) {
-        return Status::Corruption("duplicate vocabulary term '", term,
-                                  "' at id ", t);
-      }
-    }
-
-    WWT_RETURN_NOT_OK(r->ReadU32(&index->idf_.num_docs_));
-    uint64_t df_size;
-    WWT_RETURN_NOT_OK(r->ReadU64(&df_size));
-    WWT_RETURN_NOT_OK(r->CheckCount(df_size, 4));
-    index->idf_.df_.resize(df_size);
-    for (uint64_t i = 0; i < df_size; ++i) {
-      WWT_RETURN_NOT_OK(r->ReadU32(&index->idf_.df_[i]));
-    }
-
-    uint64_t doc_count;
-    WWT_RETURN_NOT_OK(r->ReadU64(&doc_count));
-    index->doc_count_ = static_cast<size_t>(doc_count);
-
-    for (int f = 0; f < kNumFields; ++f) {
-      uint64_t num_lens;
-      WWT_RETURN_NOT_OK(r->ReadU64(&num_lens));
-      WWT_RETURN_NOT_OK(r->CheckCount(num_lens, 4));
-      auto& lens = index->heap_->field_len[f];
-      lens.resize(num_lens);
-      for (uint64_t i = 0; i < num_lens; ++i) {
-        WWT_RETURN_NOT_OK(r->ReadU32(&lens[i]));
-      }
-
-      uint64_t num_terms;
-      WWT_RETURN_NOT_OK(r->ReadU64(&num_terms));
-      WWT_RETURN_NOT_OK(r->CheckCount(num_terms, 8));
-      auto& field_postings = index->heap_->postings[f];
-      field_postings.resize(num_terms);
-      for (uint64_t t = 0; t < num_terms; ++t) {
-        uint64_t plist_size;
-        WWT_RETURN_NOT_OK(r->ReadU64(&plist_size));
-        WWT_RETURN_NOT_OK(r->CheckCount(plist_size, 8));
-        auto& plist = field_postings[t];
-        plist.resize(plist_size);
-        for (uint64_t i = 0; i < plist_size; ++i) {
-          WWT_RETURN_NOT_OK(r->ReadU32(&plist[i].doc));
-          WWT_RETURN_NOT_OK(r->ReadFloat(&plist[i].tf));
-          // Search() indexes field_len_[f][doc] without a bounds check
-          // (a build-time invariant), so a checksum-valid but
-          // inconsistent file must be rejected here, not crash there.
-          if (plist[i].doc >= num_lens) {
-            return Status::Corruption("posting doc id ", plist[i].doc,
-                                      " out of range (field ", f, " has ",
-                                      num_lens, " docs)");
-          }
-          if (i > 0 && plist[i].doc <= plist[i - 1].doc) {
-            return Status::Corruption(
-                "postings for term ", t, " in field ", f,
-                " are not strictly ascending by doc id");
-          }
-        }
-      }
-    }
-
-    if (format_version >= 3) {
-      uint64_t num_docs_bound = 0;
-      for (int f = 0; f < kNumFields; ++f) {
-        num_docs_bound = std::max<uint64_t>(
-            num_docs_bound, index->heap_->field_len[f].size());
-      }
-      TableIndex::ScoringLayout layout;
-      uint32_t block_size;
-      WWT_RETURN_NOT_OK(r->ReadU32(&block_size));
-      if (block_size == 0) {
-        return Status::Corruption("scoring layout block size is 0");
-      }
-      layout.block_size = block_size;
-      uint64_t nterms;
-      WWT_RETURN_NOT_OK(r->ReadU64(&nterms));
-      if (nterms != index->vocab_.size()) {
-        return Status::Corruption("scoring layout covers ", nterms,
-                                  " terms, vocabulary has ",
-                                  index->vocab_.size());
-      }
-      layout.offsets.reserve(nterms + 1);
-      layout.offsets.push_back(0);
-      for (uint64_t t = 0; t < nterms; ++t) {
-        uint64_t count;
-        WWT_RETURN_NOT_OK(r->ReadU64(&count));
-        WWT_RETURN_NOT_OK(r->CheckCount(count, 12));
-        for (uint64_t i = 0; i < count; ++i) {
-          TableId doc;
-          WWT_RETURN_NOT_OK(r->ReadU32(&doc));
-          // SearchWand() trusts ascending order for its skips and the
-          // doc ids feed table reads downstream — reject inconsistent
-          // (if checksum-valid) files here rather than misbehave there.
-          if (doc >= num_docs_bound) {
-            return Status::Corruption("scoring layout doc id ", doc,
-                                      " out of range (", num_docs_bound,
-                                      " docs)");
-          }
-          if (i > 0 && doc <= layout.docs.back()) {
-            return Status::Corruption(
-                "scoring layout postings for term ", t,
-                " are not strictly ascending by doc id");
-          }
-          layout.docs.push_back(doc);
-        }
-        for (uint64_t i = 0; i < count; ++i) {
-          double score;
-          WWT_RETURN_NOT_OK(r->ReadDouble(&score));
-          layout.scores.push_back(score);
-        }
-        layout.offsets.push_back(layout.docs.size());
-      }
-      TableIndex::FinishScoringLayout(&layout);
-      index->scoring_ = std::move(layout);
-      index->scoring_ready_.store(true, std::memory_order_release);
-    }
-
-    *out = std::move(index);
-    return Status::OK();
-  }
-
-  /// The v4 INDX body: installs mapped views (vocabulary, df table,
-  /// postings, scoring layout) pointing straight into the file mapping.
-  /// Validation is O(#terms) STRUCTURAL — offset tables monotone and
-  /// in-bounds, permutation entries in range, block counts consistent —
-  /// which is exactly what the probe loops and view slicing rely on for
-  /// memory safety. Payload VALUES (doc ids inside blobs, scores) are
-  /// not audited: a tampered v4 file can serve wrong answers, never an
-  /// out-of-bounds read (store lookups bounds-check, WAND only compares
-  /// doc values). `base` is the section body's absolute file offset, the
-  /// anchor the AlignTo markers are verified against.
-  static Status ReadIndexV4(serde::Reader* r, size_t base,
-                            const IndexOptions& opt,
-                            const TokenizerOptions& tok,
-                            std::unique_ptr<TableIndex>* out) {
     auto index = std::make_unique<TableIndex>(opt, tok);
     uint64_t nterms, doc_count;
     uint32_t idf_docs;
@@ -825,29 +604,22 @@ Status ParseHeader(std::string_view file, const std::string& path,
   WWT_RETURN_NOT_OK(header.ReadU32(&flags));
   WWT_RETURN_NOT_OK(header.ReadU64(&payload_size));
   WWT_RETURN_NOT_OK(header.ReadU64(&checksum));
-  if (version < kMinSnapshotFormatVersion ||
-      version > kSnapshotFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     return Status::InvalidArgument(
         "snapshot format version mismatch in '", path, "': file has ",
-        version, ", this build reads ", kMinSnapshotFormatVersion, "..",
-        kSnapshotFormatVersion,
-        " — rebuild the snapshot with tools/wwt_indexer");
+        version, ", this build reads only ", kSnapshotFormatVersion,
+        " — rebuild the snapshot with wwt_indexer");
   }
   if (file.size() - kHeaderBytes != payload_size) {
     return Status::Corruption("truncated snapshot '", path, "': header says ",
                               payload_size, " payload bytes, file has ",
                               file.size() - kHeaderBytes);
   }
+  // The load is zero-copy — touching every payload byte would forfeit
+  // the mmap cold-start win — so the save-time checksum is trusted as a
+  // content hash and integrity is enforced structurally by the section
+  // readers instead.
   *payload = file.substr(kHeaderBytes);
-  // v2/v3 loads decode the whole payload anyway, so verifying the
-  // checksum costs one extra pass. A v4 load is zero-copy — touching
-  // every payload byte would forfeit the mmap cold-start win — so the
-  // save-time checksum is trusted as a content hash and integrity is
-  // enforced structurally by the section readers instead.
-  if (version < 4 && serde::Checksum(*payload) != checksum) {
-    return Status::Corruption("checksum mismatch in '", path,
-                              "': snapshot payload is corrupt");
-  }
   info->format_version = version;
   info->content_hash = checksum;
   info->file_bytes = file.size();
@@ -856,7 +628,7 @@ Status ParseHeader(std::string_view file, const std::string& path,
 
 /// Splits the payload into (tag -> body) spans, preserving bounds checks.
 /// store_base/index_base are the bodies' absolute file offsets — the
-/// anchor the v4 readers verify their alignment markers against.
+/// anchor the section readers verify their alignment markers against.
 struct Sections {
   std::string_view meta, store, index, truth, queries, harvest;
   size_t store_base = 0, index_base = 0;
@@ -921,23 +693,8 @@ uint64_t WorkloadFingerprint(const CorpusOptions& options) {
 
 Status SaveSnapshot(const Corpus& corpus, const CorpusOptions& options,
                     const std::string& path, SnapshotInfo* info) {
-  return SaveSnapshotAtVersion(corpus, options, path,
-                               kSnapshotFormatVersion, info);
-}
-
-Status SaveSnapshotAtVersion(const Corpus& corpus,
-                             const CorpusOptions& options,
-                             const std::string& path,
-                             uint32_t format_version, SnapshotInfo* info) {
   if (corpus.index == nullptr) {
     return Status::InvalidArgument("corpus has no index to snapshot");
-  }
-  if (format_version < kMinSnapshotFormatVersion ||
-      format_version > kSnapshotFormatVersion) {
-    return Status::InvalidArgument(
-        "cannot write snapshot format version ", format_version,
-        ", this build writes ", kMinSnapshotFormatVersion, "..",
-        kSnapshotFormatVersion);
   }
   serde::Writer payload;
   {
@@ -947,13 +704,12 @@ Status SaveSnapshotAtVersion(const Corpus& corpus,
   }
   {
     size_t s = BeginSection(kSecStore, &payload);
-    SnapshotCodec::WriteStore(corpus.store, format_version, &payload);
+    SnapshotCodec::WriteStore(corpus.store, &payload);
     EndSection(s, &payload);
   }
   {
     size_t s = BeginSection(kSecIndex, &payload);
-    WWT_RETURN_NOT_OK(
-        SnapshotCodec::WriteIndex(*corpus.index, format_version, &payload));
+    SnapshotCodec::WriteIndex(*corpus.index, &payload);
     EndSection(s, &payload);
   }
   {
@@ -975,7 +731,7 @@ Status SaveSnapshotAtVersion(const Corpus& corpus,
   const uint64_t checksum = serde::Checksum(payload.buffer());
   serde::Writer header;
   header.WriteBytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-  header.WriteU32(format_version);
+  header.WriteU32(kSnapshotFormatVersion);
   header.WriteU32(0);  // flags, reserved
   header.WriteU64(payload.size());
   header.WriteU64(checksum);
@@ -984,7 +740,7 @@ Status SaveSnapshotAtVersion(const Corpus& corpus,
   WWT_RETURN_NOT_OK(
       serde::WriteFileAtomic(path, {header.buffer(), payload.buffer()}));
   if (info != nullptr) {
-    info->format_version = format_version;
+    info->format_version = kSnapshotFormatVersion;
     info->content_hash = checksum;
     info->file_bytes = header.size() + payload.size();
     info->seed = options.seed;
@@ -1013,8 +769,8 @@ StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path) {
 StatusOr<Corpus> LoadSnapshot(serde::InputFile file, const std::string& path,
                               SnapshotInfo* info) {
   // The mapping is shared up front so every borrowed view below points
-  // into storage whose address can no longer change; a v4 corpus takes
-  // it along, everyone else drops it at return.
+  // into storage whose address can no longer change; the corpus takes it
+  // along.
   auto mapping = std::make_shared<const serde::InputFile>(std::move(file));
   SnapshotInfo local_info;
   std::string_view payload;
@@ -1028,13 +784,13 @@ StatusOr<Corpus> LoadSnapshot(serde::InputFile file, const std::string& path,
   Corpus corpus;
   {
     serde::Reader r(sections.store);
-    WWT_RETURN_NOT_OK(SnapshotCodec::ReadStore(
-        &r, local_info.format_version, sections.store_base, &corpus.store));
+    WWT_RETURN_NOT_OK(
+        SnapshotCodec::ReadStore(&r, sections.store_base, &corpus.store));
   }
   {
     serde::Reader r(sections.index);
-    WWT_RETURN_NOT_OK(SnapshotCodec::ReadIndex(
-        &r, local_info.format_version, sections.index_base, &corpus.index));
+    WWT_RETURN_NOT_OK(
+        SnapshotCodec::ReadIndex(&r, sections.index_base, &corpus.index));
   }
   {
     serde::Reader r(sections.truth);
@@ -1067,7 +823,7 @@ StatusOr<Corpus> LoadSnapshot(serde::InputFile file, const std::string& path,
   // ~1.5 ms of tuple generation) would dwarf the whole zero-copy load.
   // Anything that needs the knowledge base reconstructs it from
   // SnapshotInfo::seed.
-  if (local_info.format_version >= 4) corpus.mapping = std::move(mapping);
+  corpus.mapping = std::move(mapping);
   if (info != nullptr) *info = local_info;
   return corpus;
 }
@@ -1082,9 +838,9 @@ BuildOrLoadResult BuildOrLoadCorpus(const CorpusOptions& options,
   BuildOrLoadResult result;
   WallTimer timer;
   if (!path.empty()) {
-    // One read of the file: load it, then compare its recorded
-    // generation parameters (an Inspect-then-Load probe would page in
-    // and checksum the whole payload twice on every warm start).
+    // One open of the file: load it, then compare its recorded
+    // generation parameters (an Inspect-then-Load probe would map and
+    // parse it twice on every warm start).
     SnapshotInfo info;
     StatusOr<Corpus> loaded = LoadSnapshot(path, &info);
     if (loaded.ok()) {

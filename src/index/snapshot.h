@@ -14,9 +14,10 @@
 //   [magic "WWTSNAP\n"][u32 version][u32 flags]
 //   [u64 payload size][u64 payload FNV-1a checksum][payload]
 // The payload is a sequence of tagged sections; unknown sections are
-// skipped (forward-compatible additions), any layout change to an
-// existing section bumps kSnapshotFormatVersion and old files are
-// rejected with a clean Status.
+// skipped (forward-compatible additions). Any layout change to an
+// existing section bumps kSnapshotFormatVersion; files of any other
+// version are rejected with a clean Status and are rebuilt with
+// `wwt_indexer`.
 
 #ifndef WWT_INDEX_SNAPSHOT_H_
 #define WWT_INDEX_SNAPSHOT_H_
@@ -33,29 +34,16 @@
 namespace wwt {
 
 /// Bump on ANY change to the header or a section layout. Loaders accept
-/// [kMinSnapshotFormatVersion, kSnapshotFormatVersion] and reject the
-/// rest; CI cache keys embed this constant.
-/// v2: STOR section carries the store's first table id, so one snapshot
-/// can hold a contiguous shard of a larger corpus (tables keep their
-/// global ids across sharding).
-/// v3: INDX section appends the merged block-max scoring layout (per-term
-/// doc/score CSR arrays + block size) so serving skips the one-time
-/// layout build; v2 files still load and rebuild it lazily on the first
-/// Search().
-/// v4: zero-copy layout. STOR and INDX store 8-byte-aligned offset
-/// tables and raw arrays (store records, vocabulary, df table, docs-only
-/// varint postings, full scoring layout including block metadata) that
-/// the loader reads IN PLACE from the file mapping — no per-element
-/// decode, no heap materialization, no payload checksum pass (the
-/// header checksum is computed at save time and serves as the content
-/// hash; load validates structure in O(#terms)). A v4 corpus is
-/// immutable and pins its mapping via Corpus::mapping. v2/v3 files
-/// still load the materialized way.
+/// exactly this version; CI cache keys embed it. v4 is the zero-copy
+/// layout: STOR and INDX store 8-byte-aligned offset tables and raw
+/// arrays (store records, vocabulary, df table, docs-only varint
+/// postings, the full scoring layout including block metadata) that the
+/// loader reads IN PLACE from the file mapping — no per-element decode,
+/// no heap materialization, no payload checksum pass (the header
+/// checksum is computed at save time and serves as the content hash;
+/// load validates structure in O(#terms)). A loaded corpus is immutable
+/// and pins its mapping via Corpus::mapping.
 inline constexpr uint32_t kSnapshotFormatVersion = 4;
-
-/// Oldest format this build still loads (v2 lacks only the precomputed
-/// scoring layout, which TableIndex rebuilds on demand).
-inline constexpr uint32_t kMinSnapshotFormatVersion = 2;
 
 /// First 8 bytes of every snapshot file.
 inline constexpr char kSnapshotMagic[8] = {'W', 'W', 'T', 'S',
@@ -101,33 +89,25 @@ struct SnapshotInfo {
 [[nodiscard]] Status SaveSnapshot(const Corpus& corpus, const CorpusOptions& options,
                     const std::string& path, SnapshotInfo* info = nullptr);
 
-/// SaveSnapshot pinned to an older (still-loadable) format version —
-/// how the v2 backward-compatibility tests mint v2 files, and an escape
-/// hatch for serving fleets mid-upgrade. `format_version` must lie in
-/// [kMinSnapshotFormatVersion, kSnapshotFormatVersion].
-[[nodiscard]] Status SaveSnapshotAtVersion(const Corpus& corpus,
-                             const CorpusOptions& options,
-                             const std::string& path,
-                             uint32_t format_version,
-                             SnapshotInfo* info = nullptr);
-
 /// Loads a snapshot written by SaveSnapshot. The file is memory-mapped
 /// when possible. Fails with a clean Status on missing file (IOError),
-/// bad magic / checksum / truncation (Corruption), or a format version
-/// mismatch (InvalidArgument) — never crashes on garbage input.
+/// bad magic / truncation / a structurally broken section (Corruption),
+/// or any format version other than kSnapshotFormatVersion
+/// (InvalidArgument) — never crashes on garbage input.
 [[nodiscard]] StatusOr<Corpus> LoadSnapshot(const std::string& path,
                               SnapshotInfo* info = nullptr);
 
 /// LoadSnapshot from an already-open file — the single-open path for
 /// callers that have sniffed or validated the file themselves (the
 /// OpenCorpus facade and CorpusHandle). `path` is used in error
-/// messages only. A v4 corpus takes ownership of the mapping
-/// (Corpus::mapping); v2/v3 corpora materialize and drop it.
+/// messages only. The corpus takes ownership of the mapping
+/// (Corpus::mapping).
 [[nodiscard]] StatusOr<Corpus> LoadSnapshot(serde::InputFile file, const std::string& path,
                               SnapshotInfo* info = nullptr);
 
-/// Reads header + META without decoding the store/index sections (the
-/// payload checksum is still verified, so the whole file is read once).
+/// Reads header + META and lists the section sizes without decoding the
+/// store/index sections. Like LoadSnapshot it does not verify the
+/// payload checksum.
 [[nodiscard]] StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path);
 
 /// Fingerprint of a workload spec list (order-sensitive), stored in META

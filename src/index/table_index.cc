@@ -233,35 +233,6 @@ void TableIndex::InstallGlobalStats(const IdfDictionary& idf) {
   }
 }
 
-void TableIndex::FinishScoringLayout(ScoringLayout* layout) {
-  const uint64_t bs = std::max<uint32_t>(1u, layout->block_size);
-  const size_t nterms =
-      layout->offsets.empty() ? 0 : layout->offsets.size() - 1;
-  layout->block_last.clear();
-  layout->block_max.clear();
-  layout->block_offsets.clear();
-  layout->block_offsets.reserve(nterms + 1);
-  layout->block_offsets.push_back(0);
-  layout->term_max.assign(nterms, 0.0);
-  for (size_t t = 0; t < nterms; ++t) {
-    const uint64_t begin = layout->offsets[t];
-    const uint64_t end = layout->offsets[t + 1];
-    double tmax = 0.0;
-    for (uint64_t b = begin; b < end; b += bs) {
-      const uint64_t be = std::min(end, b + bs);
-      double bmax = 0.0;
-      for (uint64_t i = b; i < be; ++i) {
-        bmax = std::max(bmax, layout->scores[i]);
-      }
-      layout->block_last.push_back(layout->docs[be - 1]);
-      layout->block_max.push_back(bmax);
-      tmax = std::max(tmax, bmax);
-    }
-    layout->term_max[t] = tmax;
-    layout->block_offsets.push_back(layout->block_last.size());
-  }
-}
-
 void TableIndex::EnsureScoringLayout() const {
   if (scoring_ready_.load(std::memory_order_acquire)) return;
   MutexLock lock(scoring_mu_);
@@ -271,9 +242,13 @@ void TableIndex::EnsureScoringLayout() const {
 
   ScoringLayout layout;
   layout.block_size = std::max<uint32_t>(1u, options_.scoring_block_size);
+  const uint64_t bs = layout.block_size;
   const size_t nterms = vocab_.size();
   layout.offsets.reserve(nterms + 1);
   layout.offsets.push_back(0);
+  layout.block_offsets.reserve(nterms + 1);
+  layout.block_offsets.push_back(0);
+  layout.term_max.reserve(nterms);
   for (size_t t = 0; t < nterms; ++t) {
     const double idf = idf_.Idf(static_cast<TermId>(t));
     const double idf2 = idf * idf;
@@ -311,9 +286,25 @@ void TableIndex::EnsureScoringLayout() const {
       layout.docs.push_back(next);
       layout.scores.push_back(s);
     }
-    layout.offsets.push_back(layout.docs.size());
+    // Cut the term's merged postings into blocks: per block its last doc
+    // and max contribution, per term the max over its blocks.
+    const uint64_t begin = layout.offsets.back();
+    const uint64_t end = layout.docs.size();
+    double tmax = 0.0;
+    for (uint64_t b = begin; b < end; b += bs) {
+      const uint64_t be = std::min(end, b + bs);
+      double bmax = 0.0;
+      for (uint64_t i = b; i < be; ++i) {
+        bmax = std::max(bmax, layout.scores[i]);
+      }
+      layout.block_last.push_back(layout.docs[be - 1]);
+      layout.block_max.push_back(bmax);
+      tmax = std::max(tmax, bmax);
+    }
+    layout.offsets.push_back(end);
+    layout.block_offsets.push_back(layout.block_last.size());
+    layout.term_max.push_back(tmax);
   }
-  FinishScoringLayout(&layout);
 
   scoring_ = std::move(layout);
   scoring_ready_.store(true, std::memory_order_release);
@@ -465,7 +456,7 @@ std::vector<ScoredDoc> TableIndex::SearchWand(
     c->block_last = std::min(c->end, block_first + bs);
     if (c->pos >= c->end) {
       // Unreachable for a well-formed layout (the block's last_doc >=
-      // target), but unvalidated v4 doc values may be unsorted — stay
+      // target), but unvalidated mapped doc values may be unsorted — stay
       // memory-safe and treat the cursor as exhausted.
       c->doc = kDone;
       return;

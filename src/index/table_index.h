@@ -15,11 +15,10 @@
 //    matching Q in header-or-context and B(cell) the set matching the
 //    cell words in content.
 //
-// Storage sits behind a PostingsSource: heap vectors while building (or
-// after loading a materialized v2/v3 snapshot), or varint-compressed
-// blobs read in place from a memory-mapped v4 snapshot. The scorers run
-// over a ScoringView of raw arrays that points at either the heap
-// layout or the mapping — the algorithms never know which.
+// Storage sits behind a PostingsSource: heap vectors while building, or
+// varint-compressed blobs read in place from a memory-mapped snapshot.
+// The scorers run over a ScoringView of raw arrays that points at either
+// the heap layout or the mapping — the algorithms never know which.
 
 #ifndef WWT_INDEX_TABLE_INDEX_H_
 #define WWT_INDEX_TABLE_INDEX_H_
@@ -84,7 +83,7 @@ struct Posting {
 /// Read surface over the per-field conjunctive postings (the MatchAll*
 /// building block). Implementations: HeapPostingsSource (build mode)
 /// and MappedPostingsSource (varint-delta blobs read in place from a
-/// v4 snapshot mapping).
+/// snapshot mapping).
 class PostingsSource {
  public:
   virtual ~PostingsSource() = default;
@@ -150,8 +149,8 @@ class MappedPostingsSource final : public PostingsSource {
 /// scorers run over: term t's postings live at [offsets[t],
 /// offsets[t+1]) of the parallel docs/scores arrays, its blocks at
 /// [block_offsets[t], block_offsets[t+1]) of block_last/block_max.
-/// Points at heap vectors (build mode / v2-v3 load) or straight into a
-/// v4 snapshot mapping — identical scoring either way.
+/// Points at heap vectors (build mode) or straight into a snapshot
+/// mapping — identical scoring either way.
 struct ScoringView {
   uint32_t block_size = 0;
   size_t num_terms = 0;
@@ -197,10 +196,10 @@ class CorpusStats {
 /// number of threads: Search()/MatchAllIn*()/idf()/vocab() are pure
 /// reads with no hidden mutable state beyond the lazily built scoring
 /// layout, whose one-time construction is guarded by a mutex + released
-/// atomic (audited for the batch query runner). Add() must not overlap
+/// atomic (audited for concurrent serving). Add() must not overlap
 /// queries.
 ///
-/// A v4 snapshot load installs mapped sources instead (postings, vocab,
+/// A snapshot load installs mapped sources instead (postings, vocab,
 /// IDF, scoring view all read in place from the mapping) — such an
 /// index is immutable: Add() CHECK-fails, the scoring layout is already
 /// "built".
@@ -265,7 +264,7 @@ class TableIndex : public CorpusStats {
  private:
   /// Snapshot save/load (src/index/snapshot.cc) serializes the private
   /// postings/field-stats/scoring-layout state directly and installs
-  /// the mapped sources on a v4 load.
+  /// the mapped sources on load.
   friend class SnapshotCodec;
 
   /// Per-(term, doc) scoring data merged across the three fields, laid
@@ -302,18 +301,16 @@ class TableIndex : public CorpusStats {
   std::vector<TableId> DocsWithTerm(TermId term,
                                     std::initializer_list<Field> fields) const;
 
-  /// Builds the merged scoring layout on first use (thread-safe; Search
-  /// is const and concurrent). Snapshot load installs a prebuilt layout
-  /// (v2/v3) or a mapped view (v4) instead; Add() invalidates it.
+  /// Builds the merged scoring layout, block metadata included, on first
+  /// use (thread-safe; Search is const and concurrent). Snapshot load
+  /// installs a mapped view instead; Add() invalidates it. Built lazily
+  /// rather than at the end of every build: a freshness delta rebuilds
+  /// its index on every mutation, and most of those indexes are replaced
+  /// before anything searches them.
   void EnsureScoringLayout() const;
-  /// Recomputes block boundaries, block maxima and term maxima from
-  /// scoring_.docs/scores/offsets + block_size (used by the builder and
-  /// by v2/v3 snapshot load, which deserializes only the primary
-  /// arrays).
-  static void FinishScoringLayout(ScoringLayout* layout);
 
-  /// The raw-array view the scorers run over: the mapped view on a v4
-  /// index, otherwise a view of the heap layout. Call only after
+  /// The raw-array view the scorers run over: the mapped view on a
+  /// loaded index, otherwise a view of the heap layout. Call only after
   /// EnsureScoringLayout().
   ScoringView ViewOfScoring() const;
 
@@ -338,12 +335,12 @@ class TableIndex : public CorpusStats {
   std::unique_ptr<PostingsSource> postings_;
   HeapPostingsSource* heap_ = nullptr;
 
-  /// Lazily built from the heap postings/lengths/idf_ (or installed by
-  /// v2/v3 snapshot load). scoring_ready_ is set with release order
-  /// after the layout is complete; readers check it with acquire order,
-  /// so a true read guarantees visibility of the layout without taking
-  /// the mutex. A v4 load bypasses it entirely: mapped_scoring_ points
-  /// into the mapping and scoring_ready_ is true from installation.
+  /// Lazily built from the heap postings/lengths/idf_. scoring_ready_ is
+  /// set with release order after the layout is complete; readers check
+  /// it with acquire order, so a true read guarantees visibility of the
+  /// layout without taking the mutex. A snapshot load bypasses it
+  /// entirely: mapped_scoring_ points into the mapping and
+  /// scoring_ready_ is true from installation.
   ///
   /// scoring_ is deliberately NOT WWT_GUARDED_BY(scoring_mu_): the hot
   /// read path is lock-free by design (publication is the

@@ -5,12 +5,11 @@
 // tables" cost (Fig. 7's table-read stages) is really paid. Optional file
 // persistence round-trips the whole corpus.
 //
-// Record bytes live behind a StoreSource: a heap vector while building
-// (or after loading a materialized v2/v3 snapshot), or an offset-table
-// view straight into a memory-mapped v4 snapshot — the zero-copy serve
-// path. Everything above the store (engine, snapshot codec, sharding)
-// reads records through the source interface and never sees which one
-// it is.
+// Record bytes live behind a StoreSource: a heap vector while building,
+// or an offset-table view straight into a memory-mapped snapshot — the
+// zero-copy serve path. Everything above the store (engine, snapshot
+// codec, sharding) reads records through the source interface and never
+// sees which one it is.
 
 #ifndef WWT_INDEX_TABLE_STORE_H_
 #define WWT_INDEX_TABLE_STORE_H_
@@ -91,7 +90,7 @@ class MappedStoreSource final : public StoreSource {
 /// cache keys never depend on which shard served them).
 ///
 /// Thread safety: Get()/RecordSize() are pure reads with no hidden
-/// mutable state (audited for the batch query runner) — safe from any
+/// mutable state (audited for concurrent serving) — safe from any
 /// number of threads once building (Put/LoadFromFile) has finished.
 /// Writes must not overlap reads.
 class TableStore {

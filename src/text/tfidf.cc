@@ -105,7 +105,7 @@ void SparseVector::Compact() {
 }
 
 // The const readers must not mutate shared state (vectors inside shared
-// candidate tables are read concurrently by the batch query runner), so a
+// candidate tables are read concurrently by the serving threads), so a
 // still-dirty vector is handled by computing over a local sorted copy
 // instead of compacting in place.
 

@@ -45,13 +45,6 @@ Status Reader::ReadI32(int32_t* out) {
   return Status::OK();
 }
 
-Status Reader::ReadFloat(float* out) {
-  uint32_t bits;
-  WWT_RETURN_NOT_OK(ReadU32(&bits));
-  std::memcpy(out, &bits, sizeof(*out));
-  return Status::OK();
-}
-
 Status Reader::ReadDouble(double* out) {
   uint64_t bits;
   WWT_RETURN_NOT_OK(ReadU64(&bits));

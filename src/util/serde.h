@@ -36,12 +36,7 @@ class Writer {
   void WriteU64(uint64_t v) { WriteLittleEndian(v); }
   void WriteI32(int32_t v) { WriteLittleEndian(static_cast<uint32_t>(v)); }
 
-  /// IEEE-754 bit patterns; bit-exact round-trips.
-  void WriteFloat(float v) {
-    uint32_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    WriteU32(bits);
-  }
+  /// IEEE-754 bit pattern; bit-exact round-trips.
   void WriteDouble(double v) {
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
@@ -120,7 +115,6 @@ class Reader {
   Status ReadU32(uint32_t* out);
   Status ReadU64(uint64_t* out);
   Status ReadI32(int32_t* out);
-  Status ReadFloat(float* out);
   Status ReadDouble(double* out);
 
   /// Reads a u64-length-prefixed string. The length is validated against

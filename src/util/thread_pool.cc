@@ -6,27 +6,15 @@
 
 namespace wwt {
 
-namespace {
-
-/// Identifies the pool (and worker slot) the current thread belongs to.
-thread_local const ThreadPool* tls_pool = nullptr;
-thread_local int tls_worker_index = -1;
-
-}  // namespace
-
 ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(num_threads, 1);
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() { Shutdown(); }
-
-int ThreadPool::CurrentWorkerIndex() const {
-  return tls_pool == this ? tls_worker_index : -1;
-}
 
 int ThreadPool::DefaultNumThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
@@ -55,9 +43,7 @@ void ThreadPool::Shutdown() {
   }
 }
 
-void ThreadPool::WorkerLoop(int worker_index) {
-  tls_pool = this;
-  tls_worker_index = worker_index;
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {

@@ -1,9 +1,9 @@
 // Copyright 2026 The WWT Authors
 //
 // Fixed-size worker pool over a FIFO task queue — the execution substrate
-// of the batch query-serving layer (QueryRunner) and the parallel
-// evaluation harness. Tasks are arbitrary callables submitted with
-// Submit(); results and exceptions travel back through std::future.
+// of the serving layer (WwtService) and the parallel evaluation harness.
+// Tasks are arbitrary callables submitted with Submit(); results and
+// exceptions travel back through std::future.
 
 #ifndef WWT_UTIL_THREAD_POOL_H_
 #define WWT_UTIL_THREAD_POOL_H_
@@ -81,11 +81,6 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Index of the calling worker in [0, num_threads()), or -1 when the
-  /// caller is not a thread of this pool. Lets per-thread state (e.g. one
-  /// WwtEngine per worker) be indexed without locks.
-  int CurrentWorkerIndex() const;
-
   /// Finishes every queued task, then stops the workers. Idempotent;
   /// called automatically by the destructor.
   void Shutdown() WWT_EXCLUDES(mu_);
@@ -97,7 +92,7 @@ class ThreadPool {
   /// Appends `task` to the queue unless the pool is stopping; returns
   /// whether the task was accepted.
   bool Enqueue(std::function<void()> task) WWT_EXCLUDES(mu_);
-  void WorkerLoop(int worker_index) WWT_EXCLUDES(mu_);
+  void WorkerLoop() WWT_EXCLUDES(mu_);
 
   mutable Mutex mu_;
   CondVar cv_;

@@ -111,17 +111,6 @@ Status ValidateEngineOptions(const EngineOptions& o) {
   return Status::OK();
 }
 
-Status ValidateServingOptions(const EngineOptions& engine, int num_threads,
-                              const char* struct_name) {
-  WWT_RETURN_NOT_OK(ValidateEngineOptions(engine));
-  if (num_threads < 0) {
-    return Status::InvalidArgument(struct_name,
-                                   ".num_threads must be >= 0, got ",
-                                   num_threads);
-  }
-  return Status::OK();
-}
-
 Status ValidateQueryRequest(const QueryRequest& request) {
   if (request.columns.empty()) {
     return Status::InvalidArgument("query has no columns");

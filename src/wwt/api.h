@@ -182,13 +182,6 @@ inline constexpr size_t kMaxQueryColumns = 16;
 /// InvalidArgument naming the field. OK options are safe to serve with.
 [[nodiscard]] Status ValidateEngineOptions(const EngineOptions& options);
 
-/// Shared core of ValidateServiceOptions / ValidateRunnerOptions (both
-/// structs are {EngineOptions, num_threads}): engine fields via
-/// ValidateEngineOptions, num_threads >= 0. `struct_name` labels the
-/// error message.
-[[nodiscard]] Status ValidateServingOptions(const EngineOptions& engine, int num_threads,
-                              const char* struct_name);
-
 /// Rejects an empty column list, empty/whitespace-only columns, more
 /// than kMaxQueryColumns columns, and an out-of-range options override.
 [[nodiscard]] Status ValidateQueryRequest(const QueryRequest& request);

@@ -31,9 +31,11 @@ bool DeadlinePassed(const QueryRequest& request) {
 // ------------------------------------------------------------- WwtService
 
 Status ValidateServiceOptions(const ServiceOptions& options) {
-  WWT_RETURN_NOT_OK(ValidateServingOptions(options.engine,
-                                           options.num_threads,
-                                           "ServiceOptions"));
+  WWT_RETURN_NOT_OK(ValidateEngineOptions(options.engine));
+  if (options.num_threads < 0) {
+    return Status::InvalidArgument(
+        "ServiceOptions::num_threads must be >= 0, got ", options.num_threads);
+  }
   if (options.shard_threads < 0) {
     return Status::InvalidArgument(
         "ServiceOptions::shard_threads must be >= 0, got ",
@@ -94,7 +96,7 @@ void WwtService::SwapCorpus(std::shared_ptr<const CorpusSet> corpus) {
   if (delta_ == nullptr) return;
   if (corpus_ == nullptr) {
     // Unloading drops the delta with it — it is bound to a base.
-    WWT_LOG(Warning) << "SwapCorpus(nullptr) discards the freshness delta";
+    WWT_LOG(Warning) << "unloading the corpus discards the freshness delta";
     delta_.reset();
     return;
   }

@@ -91,8 +91,8 @@ struct ServiceStats {
   /// 0 for in-memory corpora or when no corpus is loaded).
   uint32_t corpus_format = 0;
   /// The zero-copy split: bytes served straight from pinned file
-  /// mappings vs heap bytes of the store/index structures. A v4 set is
-  /// all mapped_bytes; a v2/v3 or in-memory one is all heap_bytes.
+  /// mappings vs heap bytes of the store/index structures. A loaded set
+  /// is all mapped_bytes; an in-memory one is all heap_bytes.
   uint64_t mapped_bytes = 0;
   uint64_t heap_bytes = 0;
   /// Request pool width, and the shard fan-out pool's (0 until a
@@ -137,20 +137,18 @@ class WwtService {
 
   ~WwtService();
 
-  /// Atomically installs `corpus` as the serving set (nullptr unloads) —
-  /// all shards swap as one unit, there is never a mixed set. In-flight
-  /// requests keep the set they captured at submission; subsequent
-  /// submissions see `corpus`. Never blocks on in-flight work. The
-  /// response cache invalidates implicitly: the set hash is part of
-  /// every key (PurgeStaleCacheEntries reclaims the dead bytes eagerly).
+  /// Atomically installs `corpus` as the serving set (an empty pointer
+  /// unloads) — all shards swap as one unit, there is never a mixed set.
+  /// In-flight requests keep the set they captured at submission;
+  /// subsequent submissions see `corpus`. Never blocks on in-flight
+  /// work. The response cache invalidates implicitly: the set hash is
+  /// part of every key (PurgeStaleCacheEntries reclaims the dead bytes
+  /// eagerly).
   void SwapCorpus(std::shared_ptr<const CorpusSet> corpus)
       WWT_EXCLUDES(corpus_mu_);
 
   /// Single-snapshot convenience: wraps `corpus` as a 1-shard set.
   void SwapCorpus(std::shared_ptr<const CorpusHandle> corpus);
-  void SwapCorpus(std::nullptr_t) {
-    SwapCorpus(std::shared_ptr<const CorpusSet>());
-  }
 
   /// The current serving set (nullptr when none is loaded).
   std::shared_ptr<const CorpusSet> corpus() const WWT_EXCLUDES(corpus_mu_);
@@ -186,8 +184,7 @@ class WwtService {
   BatchResponse RunBatch(std::vector<QueryRequest> requests,
                          int concurrency = 0);
 
-  /// Keyword-list convenience (the pre-service QueryRunner::RunBatch
-  /// signature).
+  /// Keyword-list convenience: one default request per column list.
   BatchResponse RunBatch(const std::vector<std::vector<std::string>>& queries,
                          int concurrency = 0);
 

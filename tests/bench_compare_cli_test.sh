@@ -71,17 +71,16 @@ write_coldstart() {
   cat > "$path" <<EOF
 {
   "bench": "coldstart",
-  "load_v3_seconds": 0.01,
-  "load_v4_seconds": 0.001,
+  "generate_seconds": 0.1,
+  "load_seconds": 0.001,
   "speedup": ${speedup},
-  "rss_v3_kb": 5000,
-  "rss_v4_kb": 100,
+  "rss_kb": 1000,
   "identical": ${identical}
 }
 EOF
 }
-write_coldstart "$TMP/cold_base.json" 20.0 true
-write_coldstart "$TMP/cold_same.json" 20.0 true
+write_coldstart "$TMP/cold_base.json" 100.0 true
+write_coldstart "$TMP/cold_same.json" 100.0 true
 "$COMPARE" --baseline "$TMP/cold_base.json" \
   --current "$TMP/cold_same.json" >"$TMP/cold_same.txt" \
   || fail "identical coldstart run did not pass"
@@ -89,8 +88,8 @@ grep -q "gate passed" "$TMP/cold_same.txt" \
   || fail "no 'gate passed' line (coldstart)"
 grep -q "reported only" "$TMP/cold_same.txt" \
   || fail "coldstart gate does not report RSS"
-# Speedup collapse beyond the wide band (20x -> 2x): gate fails.
-write_coldstart "$TMP/cold_slow.json" 2.0 true
+# Speedup collapse beyond the wide band (100x -> 10x): gate fails.
+write_coldstart "$TMP/cold_slow.json" 10.0 true
 if "$COMPARE" --baseline "$TMP/cold_base.json" \
     --current "$TMP/cold_slow.json" >"$TMP/cold_slow.txt"; then
   fail "collapsed coldstart speedup passed"
@@ -98,7 +97,7 @@ fi
 grep -q "REGRESSED" "$TMP/cold_slow.txt" \
   || fail "no REGRESSED line (coldstart)"
 # Divergent answers fail even under --warn-only.
-write_coldstart "$TMP/cold_wrong.json" 20.0 false
+write_coldstart "$TMP/cold_wrong.json" 100.0 false
 if "$COMPARE" --warn-only --baseline "$TMP/cold_base.json" \
     --current "$TMP/cold_wrong.json" >"$TMP/cold_wrong.txt"; then
   fail "--warn-only masked a coldstart correctness failure"

@@ -1,11 +1,12 @@
 // Copyright 2026 The WWT Authors
 //
 // Snapshot save/load: metadata fidelity, BuildOrLoad caching semantics,
-// and the failure paths — version mismatch, bad magic, truncation at
-// arbitrary offsets, and payload corruption must all come back as clean
-// Status errors, never a crash. A small workload-subset corpus keeps
-// this in the unit tier; the full-workload answer-equality check lives
-// in wwt_snapshot_roundtrip_test (labeled slow).
+// and the failure paths — any version but the current one, bad magic,
+// truncation at arbitrary offsets, and structurally corrupt sections
+// must all come back as clean Status errors, never a crash. A small
+// workload-subset corpus keeps this in the unit tier; the full-workload
+// answer-equality check lives in wwt_snapshot_roundtrip_test (labeled
+// slow).
 
 #include <cstdio>
 #include <string>
@@ -127,11 +128,12 @@ TEST_F(SnapshotTest, LoadRestoresRetrievalState) {
   std::remove(path.c_str());
 }
 
-TEST_F(SnapshotTest, V3RoundtripPreservesBothScorers) {
-  // The v3 INDX tail carries the merged scoring layout; a loaded index
-  // must reproduce the fresh index's results under BOTH scorers with
-  // bit-identical scores (EXPECT_EQ on doubles, not near-equality).
-  const std::string path = SavedSnapshot("v3_scorers");
+TEST_F(SnapshotTest, LoadedIndexMatchesBuiltUnderBothScorers) {
+  // The INDX section carries the merged scoring layout; a loaded index
+  // must reproduce the built index's results for every workload query
+  // under BOTH scorers with bit-identical scores (EXPECT_EQ on doubles,
+  // not near-equality).
+  const std::string path = SavedSnapshot("scorers");
   StatusOr<Corpus> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   const Corpus& fresh = GetCorpus();
@@ -153,57 +155,27 @@ TEST_F(SnapshotTest, V3RoundtripPreservesBothScorers) {
   std::remove(path.c_str());
 }
 
-TEST_F(SnapshotTest, SaveAtVersion2StillLoads) {
-  // Backward-compat: a v2 writer (no scoring-layout tail) produces a
-  // file today's reader accepts; the layout is rebuilt lazily and the
-  // results match a fresh index exactly.
-  const std::string path = TempPath("v2_compat");
-  SnapshotInfo saved;
-  WWT_CHECK_OK(SaveSnapshotAtVersion(GetCorpus(), SmallOptions(), path,
-                                     kMinSnapshotFormatVersion, &saved));
-  EXPECT_EQ(saved.format_version, kMinSnapshotFormatVersion);
-
-  StatusOr<SnapshotInfo> inspected = InspectSnapshot(path);
-  ASSERT_TRUE(inspected.ok()) << inspected.status();
-  EXPECT_EQ(inspected->format_version, kMinSnapshotFormatVersion);
-
-  SnapshotInfo info;
-  StatusOr<Corpus> loaded = LoadSnapshot(path, &info);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(info.format_version, kMinSnapshotFormatVersion);
-
-  const Corpus& fresh = GetCorpus();
-  std::vector<std::string> probe = {
-      fresh.queries[0].spec.columns[0].keywords};
-  auto fresh_hits = fresh.index->Search(probe, 10);
-  auto loaded_hits = loaded->index->Search(probe, 10);
-  ASSERT_EQ(fresh_hits.size(), loaded_hits.size());
-  for (size_t i = 0; i < fresh_hits.size(); ++i) {
-    EXPECT_EQ(fresh_hits[i].doc, loaded_hits[i].doc);
-    EXPECT_EQ(fresh_hits[i].score, loaded_hits[i].score);
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(SnapshotTest, SaveAtUnsupportedVersionIsRejected) {
-  const std::string path = TempPath("bad_version");
-  Status too_old = SaveSnapshotAtVersion(
-      GetCorpus(), SmallOptions(), path, kMinSnapshotFormatVersion - 1);
-  EXPECT_TRUE(too_old.IsInvalidArgument()) << too_old;
-  Status too_new = SaveSnapshotAtVersion(GetCorpus(), SmallOptions(), path,
-                                         kSnapshotFormatVersion + 1);
-  EXPECT_TRUE(too_new.IsInvalidArgument()) << too_new;
-}
-
 TEST_F(SnapshotTest, VersionBelowMinimumIsRejected) {
+  // Only the current format loads: a file stamped with any older version
+  // is an InvalidArgument naming that version, never a decode attempt.
   const std::string path = SavedSnapshot("old_version");
-  std::string contents = ReadFile(path);
-  contents[8] = static_cast<char>(kMinSnapshotFormatVersion - 1);  // u32 LSB
-  WriteFile(path, contents);
-  StatusOr<Corpus> loaded = LoadSnapshot(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
-  EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
+  const std::string contents = ReadFile(path);
+  for (uint32_t version : {1u, 2u, 3u}) {
+    std::string stamped = contents;
+    stamped[8] = static_cast<char>(version);  // u32 LSB
+    WriteFile(path, stamped);
+    StatusOr<Corpus> loaded = LoadSnapshot(path);
+    ASSERT_FALSE(loaded.ok()) << "v" << version;
+    EXPECT_TRUE(loaded.status().IsInvalidArgument())
+        << "v" << version << ": " << loaded.status();
+    EXPECT_NE(loaded.status().message().find(
+                  "file has " + std::to_string(version)),
+              std::string::npos)
+        << loaded.status();
+    EXPECT_NE(loaded.status().message().find("wwt_indexer"),
+              std::string::npos)
+        << loaded.status();
+  }
   std::remove(path.c_str());
 }
 
@@ -257,23 +229,6 @@ TEST_F(SnapshotTest, TruncationAtAnyPrefixFailsCleanly) {
   std::remove(path.c_str());
 }
 
-TEST_F(SnapshotTest, PayloadCorruptionFailsChecksum) {
-  // Materialized formats (v2/v3) verify the payload checksum on load;
-  // pin the save to v3 — zero-copy v4 skips that pass by design and is
-  // covered by the structural-corruption tests below.
-  const std::string path = TempPath("corrupt_v3");
-  WWT_CHECK_OK(SaveSnapshotAtVersion(GetCorpus(), SmallOptions(), path, 3));
-  std::string contents = ReadFile(path);
-  contents[contents.size() / 2] ^= 0x5a;  // flip bits mid-payload
-  WriteFile(path, contents);
-  StatusOr<Corpus> loaded = LoadSnapshot(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
-  EXPECT_NE(loaded.status().message().find("checksum"), std::string::npos)
-      << loaded.status();
-  std::remove(path.c_str());
-}
-
 // --- v4 zero-copy specifics -----------------------------------------------
 
 /// Body offset of the first section tagged `tag4` ("STOR", "INDX", ...)
@@ -314,48 +269,9 @@ TEST_F(SnapshotTest, V4LoadServesInPlace) {
   std::remove(path.c_str());
 }
 
-TEST_F(SnapshotTest, CrossVersionLoadsScoreIdentically) {
-  // The same corpus saved at v2 (materialized, lazy scoring layout), v3
-  // (materialized, precomputed layout) and v4 (zero-copy) must serve
-  // bit-identical hits under both scorers.
-  std::vector<Corpus> loads;
-  std::vector<std::string> paths;
-  for (uint32_t version : {2u, 3u, 4u}) {
-    const std::string path =
-        TempPath("xver_" + std::to_string(version));
-    WWT_CHECK_OK(
-        SaveSnapshotAtVersion(GetCorpus(), SmallOptions(), path, version));
-    StatusOr<Corpus> loaded = LoadSnapshot(path);
-    ASSERT_TRUE(loaded.ok()) << "v" << version << ": " << loaded.status();
-    loads.push_back(std::move(loaded).value());
-    paths.push_back(path);
-  }
-  const Corpus& fresh = GetCorpus();
-  for (size_t q = 0; q < fresh.queries.size(); ++q) {
-    std::vector<std::string> probe = {
-        fresh.queries[q].spec.columns[0].keywords};
-    for (ProbeScorer scorer :
-         {ProbeScorer::kWand, ProbeScorer::kExhaustive}) {
-      auto fresh_hits = fresh.index->Search(probe, 10, scorer);
-      for (size_t v = 0; v < loads.size(); ++v) {
-        auto hits = loads[v].index->Search(probe, 10, scorer);
-        ASSERT_EQ(hits.size(), fresh_hits.size())
-            << "query " << q << " load " << v;
-        for (size_t i = 0; i < hits.size(); ++i) {
-          EXPECT_EQ(hits[i].doc, fresh_hits[i].doc);
-          EXPECT_EQ(hits[i].score, fresh_hits[i].score);
-        }
-      }
-    }
-  }
-  for (const std::string& path : paths) std::remove(path.c_str());
-}
-
-TEST_F(SnapshotTest, V4ResaveIsByteIdenticalAndOldVersionsRejected) {
-  // A mapped corpus re-saved at v4 reproduces the file byte for byte
-  // (the writer reads through the same surfaces the load installed);
-  // re-saving at v2/v3 is a clean InvalidArgument — term frequencies
-  // and field lengths are not retained in the zero-copy layout.
+TEST_F(SnapshotTest, V4ResaveIsByteIdentical) {
+  // A mapped corpus re-saved reproduces the file byte for byte (the
+  // writer reads through the same surfaces the load installed).
   const std::string path = SavedSnapshot("v4_resave");
   StatusOr<Corpus> loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
@@ -363,10 +279,6 @@ TEST_F(SnapshotTest, V4ResaveIsByteIdenticalAndOldVersionsRejected) {
   const std::string resave = TempPath("v4_resave_out");
   WWT_CHECK_OK(SaveSnapshot(*loaded, SmallOptions(), resave));
   EXPECT_EQ(ReadFile(resave), ReadFile(path));
-
-  Status old_save =
-      SaveSnapshotAtVersion(*loaded, SmallOptions(), resave, 3);
-  EXPECT_TRUE(old_save.IsInvalidArgument()) << old_save;
   std::remove(path.c_str());
   std::remove(resave.c_str());
 }

@@ -201,6 +201,20 @@ TEST(AnalysisConfigTest, CiTsanJobRunsTheRaceTier) {
       << "ci.yml no longer passes the committed suppressions file";
 }
 
+TEST(AnalysisConfigTest, CiSanitizerJobsNameTheAddressMode) {
+  // WWT_SANITIZE accepts only '', address and thread; any other value,
+  // such as the boolean ON, fails at configure. The ASan/UBSan jobs must
+  // spell the mode out.
+  for (const char* workflow :
+       {".github/workflows/ci.yml", ".github/workflows/nightly.yml"}) {
+    const std::string yml = ReadRepoFile(workflow);
+    EXPECT_NE(yml.find("-DWWT_SANITIZE=address"), std::string::npos)
+        << workflow << " lost the ASan/UBSan configure flag";
+    EXPECT_EQ(yml.find("-DWWT_SANITIZE=ON"), std::string::npos)
+        << workflow << " still passes the removed ON alias";
+  }
+}
+
 TEST(AnalysisConfigTest, RaceLabelCoversEveryRaceSuite) {
   const std::string cmake = ReadRepoFile("CMakeLists.txt");
   const size_t at = cmake.find("set(WWT_RACE_TESTS");

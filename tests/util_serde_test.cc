@@ -24,7 +24,6 @@ TEST(SerdeWriterTest, PrimitivesRoundTrip) {
   w.WriteU32(0xdeadbeef);
   w.WriteU64(0x0123456789abcdefULL);
   w.WriteI32(-42);
-  w.WriteFloat(3.5f);
   w.WriteDouble(-2.25);
   w.WriteString("hello \n\0 world");  // truncated at \0 by the literal
   w.WriteString(std::string("a\0b", 3));
@@ -42,9 +41,6 @@ TEST(SerdeWriterTest, PrimitivesRoundTrip) {
   int32_t i32;
   ASSERT_TRUE(r.ReadI32(&i32).ok());
   EXPECT_EQ(i32, -42);
-  float f;
-  ASSERT_TRUE(r.ReadFloat(&f).ok());
-  EXPECT_EQ(f, 3.5f);
   double d;
   ASSERT_TRUE(r.ReadDouble(&d).ok());
   EXPECT_EQ(d, -2.25);
@@ -68,17 +64,16 @@ TEST(SerdeWriterTest, FloatBitExact) {
   Writer w;
   w.WriteDouble(std::numeric_limits<double>::infinity());
   w.WriteDouble(std::numeric_limits<double>::denorm_min());
-  w.WriteFloat(-0.0f);
+  w.WriteDouble(-0.0);
   Reader r(w.buffer());
   double d;
   ASSERT_TRUE(r.ReadDouble(&d).ok());
   EXPECT_EQ(d, std::numeric_limits<double>::infinity());
   ASSERT_TRUE(r.ReadDouble(&d).ok());
   EXPECT_EQ(d, std::numeric_limits<double>::denorm_min());
-  float f;
-  ASSERT_TRUE(r.ReadFloat(&f).ok());
-  EXPECT_EQ(f, 0.0f);
-  EXPECT_TRUE(std::signbit(f));
+  ASSERT_TRUE(r.ReadDouble(&d).ok());
+  EXPECT_EQ(d, 0.0);
+  EXPECT_TRUE(std::signbit(d));
 }
 
 TEST(SerdeReaderTest, TruncatedPrimitiveFails) {

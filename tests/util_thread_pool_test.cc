@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -177,37 +176,6 @@ TEST(ThreadPoolTest, SubmitRacingShutdownNeverLosesATask) {
     EXPECT_EQ(accepted, executed.load());
     EXPECT_EQ(accepted + rejected, kSubmitters * kTasksPerSubmitter);
   }
-}
-
-TEST(ThreadPoolTest, CurrentWorkerIndexIdentifiesWorkers) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.CurrentWorkerIndex(), -1);  // off-pool caller
-
-  std::set<int> seen;
-  std::mutex mu;
-  std::atomic<int> arrived{0};
-  std::vector<std::future<void>> done;
-  for (int i = 0; i < 3; ++i) {
-    done.push_back(pool.Submit([&] {
-      // Hold every worker until all three have a task, so each index
-      // is observed exactly once.
-      arrived.fetch_add(1);
-      while (arrived.load() < 3) std::this_thread::yield();
-      std::lock_guard<std::mutex> lock(mu);
-      seen.insert(pool.CurrentWorkerIndex());
-    }));
-  }
-  for (auto& f : done) f.get();
-  EXPECT_EQ(seen, (std::set<int>{0, 1, 2}));
-}
-
-TEST(ThreadPoolTest, WorkerIndexIsScopedToItsPool) {
-  ThreadPool outer(1);
-  ThreadPool inner(1);
-  // A worker of `outer` is not a worker of `inner`.
-  int idx = outer.Submit([&inner] { return inner.CurrentWorkerIndex(); })
-                .get();
-  EXPECT_EQ(idx, -1);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

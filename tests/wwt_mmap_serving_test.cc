@@ -4,11 +4,11 @@
 // straight from its file mapping, so the mapping must stay pinned for
 // exactly as long as anything can still read it — in-flight requests
 // across a SwapCorpus that drops the last owner, and even across an
-// unlink of the file itself. Also proves the serve-path equivalences
-// the tentpole claims: v3 (materialized) and v4 (mapped) loads of the
-// same corpus answer the full stored workload byte-identically, and a
-// mapped corpus partitions into shards that scatter-gather to the same
-// bytes as the unsharded serve.
+// unlink of the file itself. Also proves the serve-path equivalences:
+// the mapped load answers the full stored workload byte-identically to
+// the in-memory corpus it was saved from, and a mapped corpus
+// partitions into shards that scatter-gather to the same bytes as the
+// unsharded serve.
 
 #include <cstdio>
 #include <future>
@@ -62,11 +62,11 @@ class MmapServingTest : public ::testing::Test {
 };
 
 TEST_F(MmapServingTest, ResponsesSurviveSwapAndUnlink) {
-  // The lifetime gate: submit against a v4 set, drop the service's
-  // reference (SwapCorpus(nullptr)) AND unlink the snapshot file while
-  // the requests are in flight. The captured CorpusSet pins the corpus,
-  // which pins the mapping (Corpus::mapping), so every future must
-  // still resolve to a valid, correct response.
+  // The lifetime gate: submit against a loaded set, drop the service's
+  // reference (SwapCorpus to an empty set) AND unlink the snapshot file
+  // while the requests are in flight. The captured CorpusSet pins the
+  // corpus, which pins the mapping (Corpus::mapping), so every future
+  // must still resolve to a valid, correct response.
   const std::string path = TempPath("lifetime");
   WWT_CHECK_OK(SaveSnapshot(GetCorpus(), MmapOptions(), path));
 
@@ -91,8 +91,9 @@ TEST_F(MmapServingTest, ResponsesSurviveSwapAndUnlink) {
   for (const auto& cols : queries) {
     futures.push_back((*service)->Submit(QueryRequest::Of(cols)));
   }
-  (*service)->SwapCorpus(nullptr);      // service drops its owner...
-  std::remove(path.c_str());            // ...and the file is gone too
+  // The service drops its owner, and the file is gone too.
+  (*service)->SwapCorpus(std::shared_ptr<const CorpusSet>());
+  std::remove(path.c_str());
   for (size_t i = 0; i < futures.size(); ++i) {
     QueryResponse response = futures[i].get();
     ASSERT_TRUE(response.ok()) << "query " << i << ": " << response.status;
@@ -104,39 +105,39 @@ TEST_F(MmapServingTest, ResponsesSurviveSwapAndUnlink) {
 }
 
 TEST_F(MmapServingTest, MappedAndMaterializedAnswersAreByteIdentical) {
-  // Full-workload cross-version gate: the same corpus saved at v3
-  // (materialized load) and v4 (zero-copy load) must serve every stored
-  // workload query with byte-identical digests.
-  const std::string v3_path = TempPath("xver3");
-  const std::string v4_path = TempPath("xver4");
-  WWT_CHECK_OK(SaveSnapshotAtVersion(GetCorpus(), MmapOptions(), v3_path, 3));
-  WWT_CHECK_OK(SaveSnapshot(GetCorpus(), MmapOptions(), v4_path));
+  // Full-workload gate: the zero-copy load must serve every stored
+  // workload query with digests byte-identical to the heap-built corpus
+  // it was saved from, served through the same service path.
+  const std::string path = TempPath("mapped_vs_built");
+  WWT_CHECK_OK(SaveSnapshot(GetCorpus(), MmapOptions(), path));
 
-  StatusOr<std::unique_ptr<WwtService>> v3 =
-      WwtService::FromSnapshot(v3_path);
-  StatusOr<std::unique_ptr<WwtService>> v4 =
-      WwtService::FromSnapshot(v4_path);
-  ASSERT_TRUE(v3.ok()) << v3.status();
-  ASSERT_TRUE(v4.ok()) << v4.status();
-  EXPECT_EQ((*v3)->Stats().corpus_format, 3u);
-  EXPECT_EQ((*v3)->Stats().mapped_bytes, 0u);
-  EXPECT_EQ((*v4)->Stats().corpus_format, 4u);
-  EXPECT_GT((*v4)->Stats().mapped_bytes, 0u);
+  StatusOr<std::unique_ptr<WwtService>> mapped =
+      WwtService::FromSnapshot(path);
+  StatusOr<std::unique_ptr<WwtService>> built = WwtService::Create();
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  ASSERT_TRUE(built.ok()) << built.status();
+  (*built)->SwapCorpus(CorpusHandle::Borrow(&GetCorpus()));
+  EXPECT_EQ((*mapped)->Stats().corpus_format, kSnapshotFormatVersion);
+  EXPECT_GT((*mapped)->Stats().mapped_bytes, 0u);
+  EXPECT_EQ((*built)->Stats().corpus_format, 0u);
+  EXPECT_EQ((*built)->Stats().mapped_bytes, 0u);
 
-  const auto queries = WorkloadQueries((*v3)->corpus()->queries());
-  BatchResponse v3_batch = (*v3)->RunBatch(queries);
-  BatchResponse v4_batch = (*v4)->RunBatch(queries);
-  ASSERT_EQ(v3_batch.responses.size(), queries.size());
-  ASSERT_EQ(v4_batch.responses.size(), queries.size());
+  const auto queries = WorkloadQueries(GetCorpus().queries);
+  ASSERT_EQ(WorkloadQueries((*mapped)->corpus()->queries()), queries);
+  BatchResponse mapped_batch = (*mapped)->RunBatch(queries);
+  BatchResponse built_batch = (*built)->RunBatch(queries);
+  ASSERT_EQ(mapped_batch.responses.size(), queries.size());
+  ASSERT_EQ(built_batch.responses.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(v3_batch.responses[i].ok()) << v3_batch.responses[i].status;
-    ASSERT_TRUE(v4_batch.responses[i].ok()) << v4_batch.responses[i].status;
-    EXPECT_EQ(ResultDigest(v4_batch.responses[i]),
-              ResultDigest(v3_batch.responses[i]))
+    ASSERT_TRUE(mapped_batch.responses[i].ok())
+        << mapped_batch.responses[i].status;
+    ASSERT_TRUE(built_batch.responses[i].ok())
+        << built_batch.responses[i].status;
+    EXPECT_EQ(ResultDigest(mapped_batch.responses[i]),
+              ResultDigest(built_batch.responses[i]))
         << "query " << i;
   }
-  std::remove(v3_path.c_str());
-  std::remove(v4_path.c_str());
+  std::remove(path.c_str());
 }
 
 TEST_F(MmapServingTest, PartitionedMappedCorpusMatchesUnsharded) {

@@ -1,15 +1,20 @@
 // Copyright 2026 The WWT Authors
 //
 // WwtService over a real corpus: async Submit must be byte-identical to
-// serial WwtEngine::Execute, per-request option overrides must apply,
-// deadlines must expire cleanly in the queue, fingerprints must be
-// stable per (request, corpus) and move with the corpus hash, and —
-// the hot-swap contract — a SwapCorpus racing an in-flight RunBatch
-// must leave the batch byte-identical on the old snapshot while new
-// submissions see the new one. Labeled "slow" (corpus builds); CI runs
-// it on pushes to main, the sanitizer job makes the race test a
-// TSan/ASan-grade check.
+// serial WwtEngine::Execute, retrieval-only requests must return the
+// candidates of serial WwtEngine::Retrieve, per-request option
+// overrides must apply, deadlines must expire cleanly in the queue,
+// fingerprints must be stable per (request, corpus) and move with the
+// corpus hash, and — the hot-swap contract — a SwapCorpus racing an
+// in-flight RunBatch must leave the batch byte-identical on the old
+// snapshot while new submissions see the new one. The shared read
+// paths under the service (index, store, sparse vectors) must also hold
+// up under concurrent probing. Labeled "slow" (corpus builds); CI runs
+// it on pushes to main, the sanitizer job makes the race tests
+// TSan/ASan-grade checks.
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -20,6 +25,8 @@
 #include <gtest/gtest.h>
 
 #include "corpus/corpus_generator.h"
+#include "text/tfidf.h"
+#include "wwt/engine.h"
 #include "wwt/service.h"
 
 namespace wwt {
@@ -133,7 +140,8 @@ TEST_F(WwtServiceCorpusTest, RunBatchKeepsBatchStats) {
   EXPECT_NEAR(merged, summed, 1e-9);
   EXPECT_TRUE(st.stage_latency.count(kStage1stIndex));
 
-  // Concurrency clamp semantics match the old QueryRunner.
+  // Concurrency beyond the pool width is clamped, not an error; the
+  // stats report the shards actually used (never more than queries).
   EXPECT_EQ(service->RunBatch({{"country", "population"}}, 99)
                 .stats.concurrency,
             1);
@@ -158,16 +166,43 @@ TEST_F(WwtServiceCorpusTest, PerRequestOverrideAppliesAndChangesFingerprint) {
   EXPECT_LT(limited.retrieval.tables.size(), base.retrieval.tables.size());
   // The effective options are part of the cache key.
   EXPECT_NE(limited.fingerprint, base.fingerprint);
+}
 
-  // Retrieval-only requests skip mapping/consolidation.
-  QueryRequest retrieval = QueryRequest::Of(q);
-  retrieval.retrieval_only = true;
-  QueryResponse r = service->Run(std::move(retrieval));
-  ASSERT_TRUE(r.ok()) << r.status;
-  EXPECT_EQ(r.retrieval.tables.size(), base.retrieval.tables.size());
-  EXPECT_TRUE(r.mapping.tables.empty());
-  EXPECT_TRUE(r.answer.rows.empty());
-  EXPECT_NE(r.fingerprint, base.fingerprint);
+TEST_F(WwtServiceCorpusTest, RetrievalOnlyMatchesSerialRetrieve) {
+  // Retrieval-only requests (the evaluation harness's path) skip
+  // mapping/consolidation and must return exactly the candidates of
+  // serial WwtEngine::Retrieve, for every workload query.
+  const Shared& s = GetShared();
+  const auto queries = WorkloadQueries(s.corpus_a);
+  ASSERT_FALSE(queries.empty());
+  WwtEngine engine(&s.corpus_a.store, s.corpus_a.index.get(), {});
+  auto service = ServiceOver(&s.corpus_a, kHashA, 4);
+
+  std::vector<std::future<QueryResponse>> futures;
+  for (const auto& q : queries) {
+    QueryRequest request = QueryRequest::Of(q);
+    request.retrieval_only = true;
+    futures.push_back(service->Submit(std::move(request)));
+  }
+  for (size_t i = 0; i < queries.size(); ++i) {
+    QueryResponse r = futures[i].get();
+    ASSERT_TRUE(r.ok()) << r.status;
+    RetrievalResult serial =
+        engine.Retrieve(Query::Parse(queries[i], *s.corpus_a.index), nullptr);
+    ASSERT_EQ(r.retrieval.tables.size(), serial.tables.size())
+        << "query #" << i;
+    for (size_t t = 0; t < serial.tables.size(); ++t) {
+      EXPECT_EQ(r.retrieval.tables[t].table.id, serial.tables[t].table.id)
+          << "query #" << i << " candidate " << t;
+    }
+    EXPECT_EQ(r.retrieval.used_second_probe, serial.used_second_probe);
+    EXPECT_TRUE(r.mapping.tables.empty());
+    EXPECT_TRUE(r.answer.rows.empty());
+    // retrieval_only changes the payload shape, so it changes the key.
+    EXPECT_NE(r.fingerprint,
+              RequestFingerprint(QueryRequest::Of(queries[i]),
+                                 service->engine_options(), kHashA));
+  }
 }
 
 TEST_F(WwtServiceCorpusTest, DeadlineCanExpireInTheQueue) {
@@ -264,6 +299,53 @@ TEST_F(WwtServiceCorpusTest, FingerprintStableAcrossSubmissionsAndCorpora) {
   QueryResponse other = service->Run(QueryRequest::Of(q));
   ASSERT_TRUE(other.ok());
   EXPECT_NE(other.fingerprint, first.fingerprint);
+}
+
+// Regression test for the shared-read-path audit: the index, store and
+// prebuilt candidate vectors are hammered from many threads at once.
+// Under ASan/UBSan (the CI sanitizer job) a lazily-mutating "const" read
+// path — like SparseVector's old compact-on-read — corrupts or races
+// here.
+TEST_F(WwtServiceCorpusTest, SharedReadPathsSurviveConcurrentProbes) {
+  const Corpus& c = GetShared().corpus_a;
+  const TableIndex& index = *c.index;
+
+  // A shared dirty vector: const reads must not mutate it.
+  SparseVector shared_dirty;
+  for (TermId t = 0; t < 64; ++t) shared_dirty.Add(t % 8, 1.0);
+  ASSERT_FALSE(shared_dirty.compacted());
+  const SparseVector& dirty_ref = shared_dirty;
+
+  std::vector<ScoredDoc> expect_hits =
+      index.Search({"country", "population"}, 10);
+
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  std::atomic<bool> ok{true};
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&] {
+      for (int iter = 0; iter < 20; ++iter) {
+        std::vector<ScoredDoc> hits =
+            index.Search({"country", "population"}, 10);
+        if (hits.size() != expect_hits.size()) ok = false;
+        for (size_t i = 0; i < hits.size(); ++i) {
+          if (hits[i].doc != expect_hits[i].doc) ok = false;
+        }
+        index.MatchAllInHeaderOrContext({"country"});
+        index.MatchAllInContent({"india"});
+        for (TableId id = 0; id < std::min<TableId>(c.store.size(), 16);
+             ++id) {
+          if (!c.store.Get(id).ok()) ok = false;
+        }
+        // Concurrent reads of one dirty vector: correct sums, no mutation.
+        if (dirty_ref.Get(3) != 8.0) ok = false;
+        if (dirty_ref.NormSquared() != 8 * 64.0) ok = false;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_TRUE(ok.load());
+  EXPECT_FALSE(shared_dirty.compacted()) << "const read mutated the vector";
 }
 
 }  // namespace

@@ -1,14 +1,15 @@
 // Copyright 2026 The WWT Authors
 //
-// Snapshot round-trip fidelity at serving granularity: a QueryRunner
-// batch over a loaded snapshot must produce byte-identical results —
-// candidate sets, column mappings, and consolidated AnswerTables — to a
-// batch over the freshly built index, for the full Table 1 eval
-// workload. Also checks the headline economics: loading the artifact is
-// faster than regenerating the corpus. Labeled "slow" in CTest (two
-// corpus builds); CI runs it on pushes to main.
+// Snapshot round-trip fidelity at serving granularity: WwtService over
+// a loaded snapshot must produce byte-identical results — candidate
+// sets, column mappings, and consolidated AnswerTables — to serial
+// WwtEngine::Execute over the freshly built corpus, for the full Table 1
+// eval workload. Also checks the headline economics: loading the
+// artifact is faster than regenerating the corpus. Labeled "slow" in
+// CTest (a full-workload corpus build); CI runs it on pushes to main.
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,7 @@
 #include "index/snapshot.h"
 #include "util/logging.h"
 #include "util/timer.h"
-#include "wwt/query_runner.h"
+#include "wwt/engine.h"
 #include "wwt/service.h"
 
 namespace wwt {
@@ -74,61 +75,34 @@ class SnapshotRoundTripTest : public ::testing::Test {
   }
 };
 
-TEST_F(SnapshotRoundTripTest, BatchAnswersAreByteIdentical) {
+// Snapshot fidelity and API equivalence in one check: the service over
+// the loaded snapshot against the simplest oracle, one engine executing
+// the workload serially over the built corpus.
+TEST_F(SnapshotRoundTripTest, ServiceOverLoadedMatchesSerialEngineOnBuilt) {
   const Shared& s = GetShared();
   const auto queries = WorkloadQueries(s.fresh);
   ASSERT_FALSE(queries.empty());
   ASSERT_EQ(WorkloadQueries(s.loaded), queries);
 
-  RunnerOptions options;
-  options.num_threads = 2;
-  QueryRunner fresh_runner(&s.fresh.store, s.fresh.index.get(), options);
-  QueryRunner loaded_runner(&s.loaded.store, s.loaded.index.get(),
-                            options);
-  BatchResult fresh_batch = fresh_runner.RunBatch(queries);
-  BatchResult loaded_batch = loaded_runner.RunBatch(queries);
-  ASSERT_EQ(fresh_batch.executions.size(), queries.size());
-  ASSERT_EQ(loaded_batch.executions.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(ResultDigest(loaded_batch.executions[i]),
-              ResultDigest(fresh_batch.executions[i]))
-        << "query " << i << " (" << s.fresh.queries[i].spec.name << ")";
+  WwtEngine engine(&s.fresh.store, s.fresh.index.get(), {});
+  std::vector<std::string> serial;
+  for (const auto& q : queries) {
+    serial.push_back(ResultDigest(engine.Execute(q)));
   }
-}
 
-// The api_redesign acceptance gate: full-workload answers served by the
-// new WwtService facade must be byte-identical to the pre-refactor
-// QueryRunner path — over a loaded snapshot, against a freshly built
-// index, so snapshot fidelity and API equivalence are checked in one
-// shot.
-TEST_F(SnapshotRoundTripTest, WwtServiceMatchesQueryRunnerByteForByte) {
-  const Shared& s = GetShared();
-  const auto queries = WorkloadQueries(s.fresh);
-  ASSERT_FALSE(queries.empty());
-
-  // Pre-refactor path: QueryRunner over the freshly built corpus.
-  RunnerOptions runner_options;
-  runner_options.num_threads = 2;
-  QueryRunner runner(&s.fresh.store, s.fresh.index.get(), runner_options);
-  BatchResult runner_batch = runner.RunBatch(queries);
-
-  // New path: WwtService over the loaded snapshot.
   ServiceOptions service_options;
   service_options.num_threads = 2;
   StatusOr<std::unique_ptr<WwtService>> service =
       WwtService::Create(service_options);
   ASSERT_TRUE(service.ok()) << service.status();
   (*service)->SwapCorpus(CorpusHandle::Borrow(&s.loaded));
-  BatchResponse service_batch = (*service)->RunBatch(queries);
+  BatchResponse batch = (*service)->RunBatch(queries);
 
-  ASSERT_EQ(runner_batch.executions.size(), queries.size());
-  ASSERT_EQ(service_batch.responses.size(), queries.size());
-  EXPECT_EQ(service_batch.stats.num_queries, queries.size());
+  ASSERT_EQ(batch.responses.size(), queries.size());
+  EXPECT_EQ(batch.stats.num_queries, queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(service_batch.responses[i].ok())
-        << service_batch.responses[i].status;
-    EXPECT_EQ(ResultDigest(service_batch.responses[i]),
-              ResultDigest(runner_batch.executions[i]))
+    ASSERT_TRUE(batch.responses[i].ok()) << batch.responses[i].status;
+    EXPECT_EQ(ResultDigest(batch.responses[i]), serial[i])
         << "query " << i << " (" << s.fresh.queries[i].spec.name << ")";
   }
 }

@@ -345,22 +345,22 @@ int main(int argc, char** argv) {
   const JsonValue* kind = current.Find("bench");
   if (kind != nullptr && kind->kind == JsonValue::Kind::kString &&
       kind->str == "coldstart") {
-    // Answers served from the v4 (zero-copy) load must match the v3
-    // load byte for byte — a false flag is a hard failure.
+    // Answers served from the zero-copy load must match the built
+    // corpus byte for byte — a false flag is a hard failure.
     gate.MustBeTrue("identical", current.Find("identical"));
-    // The headline ratio (v3 load seconds / v4 load seconds) is a
-    // same-machine ratio, but cold-start times are tiny at small
-    // scales, so the band is wide: regression only when the current
-    // speedup falls below 20% of the recorded baseline.
+    // The headline ratio (rebuild seconds / load seconds) is a
+    // same-machine ratio, but load times are tiny at small scales, so
+    // the band is wide: regression only when the current speedup falls
+    // below 20% of the recorded baseline.
     gate.Numeric("speedup", baseline.Find("speedup"),
                  current.Find("speedup"), 0.8);
     // RSS is reported for the trajectory, never gated: page-cache
     // behaviour on shared CI runners is not a stable signal.
-    const JsonValue* rss3 = current.Find("rss_v3_kb");
-    const JsonValue* rss4 = current.Find("rss_v4_kb");
-    if (rss3 != nullptr && rss4 != nullptr) {
-      std::printf("  %-44s %12.0f vs %12.0f  (reported only)\n",
-                  "rss_kb (v3 vs v4)", rss3->number, rss4->number);
+    const JsonValue* rss_base = baseline.Find("rss_kb");
+    const JsonValue* rss = current.Find("rss_kb");
+    if (rss_base != nullptr && rss != nullptr) {
+      std::printf("  %-44s %12.0f -> %12.0f  (reported only)\n", "rss_kb",
+                  rss_base->number, rss->number);
     }
     std::printf("bench_compare: %d metrics compared, %d regressed, "
                 "%d correctness failures\n",
