@@ -18,10 +18,11 @@ struct EdgeOptions {
   /// Smoothing constant lambda in the nsim normalization (§3.3).
   double nsim_lambda = 0.3;
   /// Neighbors with unnormalized similarity below this are ignored.
+  /// Must be in (0, 1].
   double sim_floor = 0.1;
   /// Column matching weight = content_weight * content cosine +
   /// (1 - content_weight) * header cosine (§3.3 "weighted sum of their
-  /// content and header similarity").
+  /// content and header similarity"). Must be in (0, 1].
   double content_weight = 0.8;
   /// Ablations of the §3.3 design choices (bench_ablation_edges):
   /// false -> connect every similar column pair instead of only the
@@ -41,8 +42,21 @@ struct CrossEdge {
   double nsim_21 = 0;  // nsim(t2c2, t1c1)
 };
 
-/// Builds the edge set over all table pairs. O(n^2) pairs with one small
-/// bipartite matching each.
+/// Builds the edge set over all table pairs, ordered by (t1, t2, c1, c2).
+///
+/// One content-term postings list per call drives the scoring: each
+/// column walks its terms in ascending order and accumulates its dot
+/// products with the columns of later tables that share a term, so only
+/// those column pairs are scored, and each cosine is bit-identical to
+/// SparseVector::Cosine. A table pair whose pairs at or above sim_floor
+/// already form a one-to-one set emits them without running the
+/// bipartite matcher: each weighs at least content_weight * sim_floor and
+/// every other pair weighs 0, so they are exactly the max-weight
+/// matching. Only table pairs whose kept pairs share a column run
+/// CapacitatedMatcher.
+///
+/// Both shortcuts need sim_floor and content_weight in (0, 1]; this is
+/// WWT_CHECKed (ValidateEngineOptions rejects other values at submit).
 std::vector<CrossEdge> BuildCrossEdges(
     const std::vector<CandidateTable>& tables,
     const EdgeOptions& options = {});

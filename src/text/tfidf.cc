@@ -155,10 +155,12 @@ double SparseVector::NormSquared() const {
 }
 
 double SparseVector::Cosine(const SparseVector& a, const SparseVector& b) {
-  const double na = a.NormSquared();
-  const double nb = b.NormSquared();
-  if (na <= 0 || nb <= 0) return 0.0;
-  return a.Dot(b) / std::sqrt(na * nb);
+  return Cosine(a.Dot(b), a.NormSquared(), b.NormSquared());
+}
+
+double SparseVector::Cosine(double dot, double norm_sq_a, double norm_sq_b) {
+  if (norm_sq_a <= 0 || norm_sq_b <= 0) return 0.0;
+  return dot / std::sqrt(norm_sq_a * norm_sq_b);
 }
 
 }  // namespace wwt

@@ -113,6 +113,10 @@ class SparseVector {
   /// Cosine similarity; 0 when either vector is empty/zero.
   static double Cosine(const SparseVector& a, const SparseVector& b);
 
+  /// The same cosine from a dot product and both squared norms, for
+  /// callers that compute them once per vector.
+  static double Cosine(double dot, double norm_sq_a, double norm_sq_b);
+
   bool empty() const { return entries_.empty(); }
   size_t size() const { return entries_.size(); }
   bool compacted() const { return !dirty_; }

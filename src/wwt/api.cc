@@ -102,6 +102,19 @@ Status ValidateEngineOptions(const EngineOptions& o) {
   if (!(o.mapper.prob_temperature > 0)) {
     return BadField("mapper.prob_temperature", "must be > 0");
   }
+  // BuildCrossEdges WWT_CHECKs the first two: its term-sharing skip and
+  // matching shortcut are exact only for a positive floor and weight.
+  if (!(o.mapper.edges.sim_floor > 0 && o.mapper.edges.sim_floor <= 1)) {
+    return BadField("mapper.edges.sim_floor", "must be in (0, 1]");
+  }
+  if (!(o.mapper.edges.content_weight > 0 &&
+        o.mapper.edges.content_weight <= 1)) {
+    return BadField("mapper.edges.content_weight", "must be in (0, 1]");
+  }
+  if (!(std::isfinite(o.mapper.edges.nsim_lambda) &&
+        o.mapper.edges.nsim_lambda >= 0)) {
+    return BadField("mapper.edges.nsim_lambda", "must be finite and >= 0");
+  }
   if (o.consolidator.max_rows < 1) {
     return BadField("consolidator.max_rows", "must be >= 1");
   }

@@ -242,6 +242,36 @@ TEST_F(MapperTest, NsimNormalizationBoundsNeighborMass) {
   EXPECT_GT(sum_from_first, 0.5);
 }
 
+TEST_F(MapperTest, NsimDenominatorsOfWideTablesDoNotCollide) {
+  // Column 1000 of a 1,001-column table holds the same cells as two
+  // 1-column tables. Each of the three columns then has two neighbours
+  // with sim 1, so every nsim is 1 / (0.3 + 2). A denominator keyed
+  // t * 1000 + c would merge column 1000 of table 0 with column 0 of
+  // table 1 and give those two 1 / 4.3.
+  const std::vector<std::string> values = {"oak", "elm", "ash", "yew"};
+  std::vector<std::vector<std::string>> wide(values.size(),
+                                             std::vector<std::string>(1001));
+  std::vector<std::vector<std::string>> narrow;
+  for (size_t r = 0; r < values.size(); ++r) {
+    wide[r][1000] = values[r];
+    narrow.push_back({values[r]});
+  }
+  AddCandidate({}, {}, wide);
+  AddCandidate({}, {}, narrow);
+  AddCandidate({}, {}, narrow);
+  auto tables = BuildCandidates();
+  ASSERT_EQ(tables[0].num_cols, 1001);
+  auto edges = BuildCrossEdges(tables);
+  ASSERT_EQ(edges.size(), 3u);
+  for (const CrossEdge& e : edges) {
+    EXPECT_EQ(e.c1, e.t1 == 0 ? 1000 : 0);
+    EXPECT_EQ(e.c2, 0);
+    EXPECT_NEAR(e.sim, 1.0, 1e-12);
+    EXPECT_NEAR(e.nsim_12, 1.0 / 2.3, 1e-9);
+    EXPECT_NEAR(e.nsim_21, 1.0 / 2.3, 1e-9);
+  }
+}
+
 // --------------------------------------------- collective rescue (§4.2)
 
 class RescueTest : public MapperTest {

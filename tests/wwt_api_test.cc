@@ -7,6 +7,8 @@
 // unit tier on every PR.
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,17 @@ namespace {
 
 TEST(ValidateEngineOptionsTest, DefaultOptionsAreValid) {
   EXPECT_TRUE(ValidateEngineOptions(EngineOptions{}).ok());
+}
+
+TEST(ValidateEngineOptionsTest, AcceptsEdgeOptionBoundaries) {
+  EngineOptions o;
+  o.mapper.edges.sim_floor = 1.0;
+  o.mapper.edges.content_weight = 1.0;
+  o.mapper.edges.nsim_lambda = 0.0;
+  EXPECT_TRUE(ValidateEngineOptions(o).ok());
+  o.mapper.edges.sim_floor = 1e-9;
+  o.mapper.edges.content_weight = 1e-9;
+  EXPECT_TRUE(ValidateEngineOptions(o).ok());
 }
 
 TEST(ValidateEngineOptionsTest, RejectsEachBadField) {
@@ -42,6 +55,28 @@ TEST(ValidateEngineOptionsTest, RejectsEachBadField) {
        [](EngineOptions* o) { o->mapper.confidence_threshold = -0.5; }},
       {"mapper.prob_temperature",
        [](EngineOptions* o) { o->mapper.prob_temperature = 0.0; }},
+      {"mapper.edges.sim_floor",
+       [](EngineOptions* o) { o->mapper.edges.sim_floor = 0.0; }},
+      {"mapper.edges.sim_floor",
+       [](EngineOptions* o) { o->mapper.edges.sim_floor = 1.5; }},
+      {"mapper.edges.sim_floor",
+       [](EngineOptions* o) { o->mapper.edges.sim_floor = std::nan(""); }},
+      {"mapper.edges.content_weight",
+       [](EngineOptions* o) { o->mapper.edges.content_weight = 0.0; }},
+      {"mapper.edges.content_weight",
+       [](EngineOptions* o) { o->mapper.edges.content_weight = 1.01; }},
+      {"mapper.edges.content_weight",
+       [](EngineOptions* o) {
+         o->mapper.edges.content_weight = std::nan("");
+       }},
+      {"mapper.edges.nsim_lambda",
+       [](EngineOptions* o) { o->mapper.edges.nsim_lambda = -0.1; }},
+      {"mapper.edges.nsim_lambda",
+       [](EngineOptions* o) { o->mapper.edges.nsim_lambda = std::nan(""); }},
+      {"mapper.edges.nsim_lambda",
+       [](EngineOptions* o) {
+         o->mapper.edges.nsim_lambda = std::numeric_limits<double>::infinity();
+       }},
       {"consolidator.max_rows",
        [](EngineOptions* o) { o->consolidator.max_rows = 0; }},
       {"consolidator.min_relevance_prob",
