@@ -55,19 +55,16 @@ int main() {
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.total < b.total; });
 
-  const char* stages[] = {kStage1stIndex, kStage1stRead, kStage2ndIndex,
-                          kStage2ndRead, kStageColumnMap,
-                          kStageConsolidate};
   std::printf("=== Figure 7: running time breakdown (ms), queries by "
               "increasing total ===\n");
   std::printf("%-4s%10s%10s%10s%10s%10s%10s%10s\n", "#", "1stIdx",
               "1stRead", "2ndIdx", "2ndRead", "ColMap", "Consol",
               "Total");
-  double stage_sum[6] = {0};
+  double stage_sum[kNumStages] = {0};
   for (size_t i = 0; i < rows.size(); ++i) {
     std::printf("%-4zu", i + 1);
-    for (int s = 0; s < 6; ++s) {
-      double ms = rows[i].timing.Get(stages[s]) * 1e3;
+    for (int s = 0; s < kNumStages; ++s) {
+      double ms = rows[i].timing.Get(static_cast<Stage>(s)) * 1e3;
       stage_sum[s] += ms;
       std::printf("%10.2f", ms);
     }
@@ -76,8 +73,8 @@ int main() {
   double total_all = 0;
   for (double s : stage_sum) total_all += s;
   std::printf("\nStage shares: ");
-  for (int s = 0; s < 6; ++s) {
-    std::printf("%s %.0f%%  ", stages[s],
+  for (int s = 0; s < kNumStages; ++s) {
+    std::printf("%s %.0f%%  ", kStageNames[s],
                 total_all > 0 ? 100.0 * stage_sum[s] / total_all : 0.0);
   }
   std::printf("\nMean total: %.1f ms/query (paper: 6.7 s on a disk-backed "
@@ -85,11 +82,9 @@ int main() {
               total_all / rows.size());
   std::printf("Batch serving: %d thread(s), %.1f QPS, stage p95 (ms): ",
               batch.stats.concurrency, batch.stats.qps);
-  for (int s = 0; s < 6; ++s) {
-    auto it = batch.stats.stage_latency.find(stages[s]);
-    std::printf("%s %.2f  ", stages[s],
-                it != batch.stats.stage_latency.end() ? it->second.p95 * 1e3
-                                                      : 0.0);
+  for (int s = 0; s < kNumStages; ++s) {
+    std::printf("%s %.2f  ", kStageNames[s],
+                batch.stats.stage_latency[s].p95 * 1e3);
   }
   std::printf("\n");
 
@@ -113,18 +108,15 @@ int main() {
                  total_all / rows.size(), e.corpus_seconds,
                  e.loaded_from_snapshot ? "true" : "false");
     std::fprintf(json, "  \"stage_total_ms\": {");
-    for (int s = 0; s < 6; ++s) {
-      std::fprintf(json, "\"%s\": %.4f%s", stages[s], stage_sum[s],
-                   s < 5 ? ", " : "");
+    for (int s = 0; s < kNumStages; ++s) {
+      std::fprintf(json, "\"%s\": %.4f%s", kStageNames[s], stage_sum[s],
+                   s + 1 < kNumStages ? ", " : "");
     }
     std::fprintf(json, "},\n  \"stage_p95_ms\": {");
-    for (int s = 0; s < 6; ++s) {
-      auto it = batch.stats.stage_latency.find(stages[s]);
-      std::fprintf(json, "\"%s\": %.4f%s", stages[s],
-                   it != batch.stats.stage_latency.end()
-                       ? it->second.p95 * 1e3
-                       : 0.0,
-                   s < 5 ? ", " : "");
+    for (int s = 0; s < kNumStages; ++s) {
+      std::fprintf(json, "\"%s\": %.4f%s", kStageNames[s],
+                   batch.stats.stage_latency[s].p95 * 1e3,
+                   s + 1 < kNumStages ? ", " : "");
     }
     std::fprintf(json, "}\n}\n");
     std::fclose(json);

@@ -82,8 +82,11 @@ int main(int argc, char** argv) {
               s.latency.mean * 1e3, s.latency.p50 * 1e3,
               s.latency.p95 * 1e3, s.latency.p99 * 1e3);
   std::printf("stage totals (s):\n");
-  for (const auto& [stage, seconds] : s.total_stage_time.stages()) {
-    std::printf("  %-16s %8.3f\n", stage.c_str(), seconds);
+  for (int st = 0; st < wwt::kNumStages; ++st) {
+    const wwt::Stage stage = static_cast<wwt::Stage>(st);
+    if (!s.total_stage_time.ran(stage)) continue;
+    std::printf("  %-16s %8.3f\n", wwt::kStageNames[st],
+                s.total_stage_time.Get(stage));
   }
   return batch.all_ok() ? 0 : 1;
 }

@@ -71,8 +71,11 @@ int main(int argc, char** argv) {
   std::printf("(%zu rows total)\n", response.answer.rows.size());
 
   std::printf("\nStage timings (seconds):\n");
-  for (const auto& [stage, seconds] : response.timing.stages()) {
-    std::printf("  %-16s %.4f\n", stage.c_str(), seconds);
+  for (int s = 0; s < wwt::kNumStages; ++s) {
+    const wwt::Stage stage = static_cast<wwt::Stage>(s);
+    if (!response.timing.ran(stage)) continue;
+    std::printf("  %-16s %.4f\n", wwt::kStageNames[s],
+                response.timing.Get(stage));
   }
   return 0;
 }

@@ -55,7 +55,6 @@ std::vector<EvalCase> EvalHarness::BuildCases() {
     c.resolved = rq;
     c.query = std::move(response.query);
     c.retrieval = std::move(response.retrieval);
-    c.retrieval_timing = std::move(response.timing);
     for (const CandidateTable& table : c.retrieval.tables) {
       c.truth.push_back(TruthLabels(rq, corpus_->TruthFor(table.table.id),
                                     table.num_cols));

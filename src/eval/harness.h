@@ -27,8 +27,6 @@ struct EvalCase {
   RetrievalResult retrieval;
   /// Ground-truth labels per candidate table (external encoding).
   std::vector<std::vector<int>> truth;
-  /// Timing of the retrieval stages (feeds Fig. 7).
-  StageTimer retrieval_timing;
 
   int num_relevant_truth() const;
 };

@@ -72,12 +72,6 @@ std::vector<const DomNode*> DomNode::PathToRoot() const {
   return path;
 }
 
-size_t DomNode::Depth() const {
-  size_t d = 0;
-  for (const DomNode* n = parent_; n != nullptr; n = n->parent()) ++d;
-  return d;
-}
-
 bool IsFormatTag(std::string_view tag) {
   return tag == "b" || tag == "strong" || tag == "i" || tag == "em" ||
          tag == "u" || tag == "code" || IsHeadingTag(tag);

@@ -65,9 +65,6 @@ class DomNode {
   /// Path from this node up to (and including) the root.
   std::vector<const DomNode*> PathToRoot() const;
 
-  /// Number of edges between this node and the root.
-  size_t Depth() const;
-
  private:
   void AppendText(std::string* out) const;
 

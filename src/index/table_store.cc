@@ -1,8 +1,5 @@
 #include "index/table_store.h"
 
-#include <cstdio>
-#include <memory>
-
 namespace wwt {
 
 TableId TableStore::Put(WebTable table) {
@@ -24,62 +21,6 @@ size_t TableStore::RecordSize(TableId id) const {
   return id >= first_id_ && id < end_id()
              ? source_->record(id - first_id_).size()
              : 0;
-}
-
-Status TableStore::SaveToFile(const std::string& path) const {
-  std::unique_ptr<FILE, int (*)(FILE*)> f(std::fopen(path.c_str(), "wb"),
-                                          &std::fclose);
-  if (!f) return Status::IOError("cannot open '", path, "' for writing");
-  uint64_t count = source_->size();
-  if (std::fwrite(&count, sizeof(count), 1, f.get()) != 1) {
-    return Status::IOError("short write to '", path, "'");
-  }
-  for (uint64_t i = 0; i < count; ++i) {
-    const std::string_view rec = source_->record(i);
-    uint64_t len = rec.size();
-    if (std::fwrite(&len, sizeof(len), 1, f.get()) != 1 ||
-        std::fwrite(rec.data(), 1, rec.size(), f.get()) != rec.size()) {
-      return Status::IOError("short write to '", path, "'");
-    }
-  }
-  return Status::OK();
-}
-
-Status TableStore::LoadFromFile(const std::string& path) {
-  std::unique_ptr<FILE, int (*)(FILE*)> f(std::fopen(path.c_str(), "rb"),
-                                          &std::fclose);
-  if (!f) return Status::IOError("cannot open '", path, "' for reading");
-  uint64_t count = 0;
-  if (std::fread(&count, sizeof(count), 1, f.get()) != 1) {
-    return Status::Corruption("truncated store header in '", path, "'");
-  }
-  if (count > (1ull << 32)) {
-    return Status::Corruption("implausible record count ", count);
-  }
-  std::vector<std::string> records;
-  records.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t len = 0;
-    if (std::fread(&len, sizeof(len), 1, f.get()) != 1) {
-      return Status::Corruption("truncated record header at index ", i);
-    }
-    if (len > (1ull << 31)) {
-      return Status::Corruption("implausible record size ", len);
-    }
-    std::string rec(len, '\0');
-    if (std::fread(rec.data(), 1, len, f.get()) != len) {
-      return Status::Corruption("truncated record body at index ", i);
-    }
-    records.push_back(std::move(rec));
-  }
-  // LoadFromFile always lands in build mode (the legacy format has no
-  // offset table to map), replacing whatever source was installed.
-  auto vec = std::make_unique<VectorStoreSource>();
-  vec->records = std::move(records);
-  vec_ = vec.get();
-  source_ = std::move(vec);
-  first_id_ = 0;  // the file format predates shards: always a full corpus
-  return Status::OK();
 }
 
 }  // namespace wwt

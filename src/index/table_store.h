@@ -91,7 +91,7 @@ class MappedStoreSource final : public StoreSource {
 ///
 /// Thread safety: Get()/RecordSize() are pure reads with no hidden
 /// mutable state (audited for concurrent serving) — safe from any
-/// number of threads once building (Put/LoadFromFile) has finished.
+/// number of threads once building (Put) has finished.
 /// Writes must not overlap reads.
 class TableStore {
  public:
@@ -131,12 +131,6 @@ class TableStore {
   bool mapped() const { return source_->mapped(); }
   /// Approximate heap bytes owned by the record storage.
   size_t HeapBytes() const { return source_->HeapBytes(); }
-
-  /// Writes all records to `path` (atomic length-prefixed records).
-  Status SaveToFile(const std::string& path) const;
-
-  /// Replaces the store contents from a file written by SaveToFile.
-  Status LoadFromFile(const std::string& path);
 
  private:
   /// Snapshot save/load and corpus partitioning (src/index/snapshot.cc)

@@ -53,17 +53,6 @@ Status ReadInt(std::string_view data, size_t* pos, int64_t* out) {
 
 }  // namespace
 
-std::string WebTable::HeaderText(int col) const {
-  std::string out;
-  for (const auto& row : header_rows) {
-    if (col < static_cast<int>(row.size()) && !row[col].empty()) {
-      if (!out.empty()) out += ' ';
-      out += row[col];
-    }
-  }
-  return out;
-}
-
 std::string WebTable::ContextText() const {
   std::string out;
   for (const auto& snip : context) {

@@ -55,8 +55,6 @@ struct WebTable {
     return static_cast<int>(header_rows.size());
   }
 
-  /// All header tokens of column c joined across header rows.
-  std::string HeaderText(int col) const;
   /// All context text joined (scores ignored).
   std::string ContextText() const;
   /// Column cells (body only).

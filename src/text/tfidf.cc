@@ -82,17 +82,6 @@ double DotSorted(const Entries& a, const Entries& b) {
 
 }  // namespace
 
-SparseVector SparseVector::FromTerms(const std::vector<TermId>& terms,
-                                     const IdfProvider& idf) {
-  SparseVector v;
-  for (TermId t : terms) {
-    if (t == kInvalidTerm) continue;
-    v.Add(t, idf.Idf(t));
-  }
-  v.Compact();
-  return v;
-}
-
 void SparseVector::Add(TermId term, double weight) {
   entries_.emplace_back(term, weight);
   dirty_ = true;

@@ -90,11 +90,6 @@ class SparseVector {
  public:
   SparseVector() = default;
 
-  /// Builds sum of TI weights per term from a token-id sequence: entry(w) =
-  /// tf(w) * idf(w). kInvalidTerm tokens are skipped. Compacted.
-  static SparseVector FromTerms(const std::vector<TermId>& terms,
-                                const IdfProvider& idf);
-
   /// Adds `weight` to `term`'s entry.
   void Add(TermId term, double weight);
 

@@ -59,14 +59,6 @@ bool Random::Bernoulli(double p) {
   return NextDouble() < p;
 }
 
-double Random::Gaussian(double mean, double stddev) {
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  if (u1 < 1e-300) u1 = 1e-300;
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  return mean + stddev * mag * std::cos(2.0 * M_PI * u2);
-}
-
 uint64_t Random::Zipf(uint64_t n, double s) {
   WWT_CHECK(n > 0);
   if (s <= 0.0) return Uniform(n);

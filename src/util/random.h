@@ -36,9 +36,6 @@ class Random {
   /// True with probability p (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  /// Gaussian via Box-Muller.
-  double Gaussian(double mean, double stddev);
-
   /// Zipf-distributed rank in [0, n) with exponent s (s=0 -> uniform).
   uint64_t Zipf(uint64_t n, double s);
 

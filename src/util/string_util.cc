@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace wwt {
 
@@ -35,6 +37,16 @@ std::vector<std::string> Split(std::string_view s, std::string_view delims) {
   return out;
 }
 
+std::vector<std::string> SplitTrimmed(std::string_view s, char sep) {
+  std::vector<std::string> out;
+  for (;;) {
+    const size_t at = s.find(sep);
+    out.emplace_back(StripWhitespace(s.substr(0, at)));
+    if (at == std::string_view::npos) return out;
+    s.remove_prefix(at + 1);
+  }
+}
+
 std::string Join(const std::vector<std::string>& pieces,
                  std::string_view sep) {
   std::string out;
@@ -52,17 +64,6 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
-}
-
-bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 bool LooksNumeric(std::string_view s) {
@@ -101,21 +102,6 @@ double UppercaseRatio(std::string_view s) {
   return alpha == 0 ? 0.0 : static_cast<double>(upper) / alpha;
 }
 
-size_t Levenshtein(std::string_view a, std::string_view b) {
-  if (a.size() > b.size()) std::swap(a, b);
-  std::vector<size_t> prev(a.size() + 1), cur(a.size() + 1);
-  for (size_t i = 0; i <= a.size(); ++i) prev[i] = i;
-  for (size_t j = 1; j <= b.size(); ++j) {
-    cur[0] = j;
-    for (size_t i = 1; i <= a.size(); ++i) {
-      size_t sub = prev[i - 1] + (a[i - 1] == b[j - 1] ? 0 : 1);
-      cur[i] = std::min({prev[i] + 1, cur[i - 1] + 1, sub});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[a.size()];
-}
-
 size_t DamerauLevenshtein(std::string_view a, std::string_view b) {
   const size_t n = a.size(), m = b.size();
   // Three rolling rows: i-2, i-1, i.
@@ -135,6 +121,71 @@ size_t DamerauLevenshtein(std::string_view a, std::string_view b) {
     std::swap(prev, cur);
   }
   return prev[m];
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+bool ParseUint(std::string_view s, uint64_t min, uint64_t max,
+               uint64_t* out) {
+  if (s.empty()) return false;
+  uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    // v * 10 + digit > max, asked without overflowing.
+    if (v > max / 10 || (v == max / 10 && digit > max % 10)) return false;
+    v = v * 10 + digit;
+  }
+  if (v < min) return false;
+  *out = v;
+  return true;
+}
+
+bool ParseDouble(std::string_view s, double min, double max, double* out) {
+  // strtod alone would also take leading space, hex, inf and nan.
+  if (s.empty() || s.find_first_not_of("0123456789+-.eE") != s.npos) {
+    return false;
+  }
+  const std::string copy(s);  // strtod wants a terminated string
+  char* end = nullptr;
+  const double v = std::strtod(copy.c_str(), &end);
+  if (end != copy.c_str() + copy.size() || !std::isfinite(v) || v < min ||
+      v > max) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 std::string StringPrintf(const char* fmt, ...) {

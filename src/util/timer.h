@@ -1,13 +1,11 @@
 // Copyright 2026 The WWT Authors
 //
-// Wall-clock timing used by the runtime-breakdown experiments (Fig. 7).
+// Wall-clock stopwatch (the per-stage StageTimer lives in wwt/engine.h).
 
 #ifndef WWT_UTIL_TIMER_H_
 #define WWT_UTIL_TIMER_H_
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace wwt {
 
@@ -28,53 +26,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named stage timings; the Fig. 7 bench reads these back to
-/// print the per-query breakdown (index probes, table reads, column map,
-/// consolidate).
-class StageTimer {
- public:
-  /// Adds `seconds` to stage `name`.
-  void Add(const std::string& name, double seconds) {
-    stages_[name] += seconds;
-  }
-
-  /// Seconds recorded against `name` (0 if never recorded).
-  double Get(const std::string& name) const {
-    auto it = stages_.find(name);
-    return it == stages_.end() ? 0.0 : it->second;
-  }
-
-  /// Sum over all stages.
-  double Total() const {
-    double t = 0;
-    for (const auto& [_, v] : stages_) t += v;
-    return t;
-  }
-
-  const std::map<std::string, double>& stages() const { return stages_; }
-
-  void Clear() { stages_.clear(); }
-
- private:
-  std::map<std::string, double> stages_;
-};
-
-/// RAII helper: adds the scope's duration to a StageTimer on destruction.
-class ScopedStageTimer {
- public:
-  ScopedStageTimer(StageTimer* sink, std::string name)
-      : sink_(sink), name_(std::move(name)) {}
-  ~ScopedStageTimer() { sink_->Add(name_, timer_.ElapsedSeconds()); }
-
-  ScopedStageTimer(const ScopedStageTimer&) = delete;
-  ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
-
- private:
-  StageTimer* sink_;
-  std::string name_;
-  WallTimer timer_;
 };
 
 }  // namespace wwt

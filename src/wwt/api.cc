@@ -46,23 +46,25 @@ BatchStats BuildBatchStats(const std::vector<QueryResponse>& responses,
   std::vector<double> latency;
   latency.reserve(responses.size());
   size_t served = 0;
-  std::map<std::string, std::vector<double>> per_stage;
+  std::array<std::vector<double>, kNumStages> per_stage;
   for (const QueryResponse& r : responses) {
     if (!r.ok()) continue;
     ++served;
     if (r.served_from_cache) ++stats.cache_hits;
     latency.push_back(r.execute_seconds);
-    for (const auto& [stage, seconds] : r.timing.stages()) {
-      stats.total_stage_time.Add(stage, seconds);
-      per_stage[stage].push_back(seconds);
+    for (int s = 0; s < kNumStages; ++s) {
+      const Stage stage = static_cast<Stage>(s);
+      if (!r.timing.ran(stage)) continue;
+      stats.total_stage_time.Add(stage, r.timing.Get(stage));
+      per_stage[s].push_back(r.timing.Get(stage));
     }
   }
   stats.qps = wall_seconds > 0 ? served / wall_seconds : 0;
   stats.cache_hit_rate =
       served > 0 ? static_cast<double>(stats.cache_hits) / served : 0;
   stats.latency = Summarize(std::move(latency));
-  for (auto& [stage, samples] : per_stage) {
-    stats.stage_latency[stage] = Summarize(std::move(samples));
+  for (int s = 0; s < kNumStages; ++s) {
+    stats.stage_latency[s] = Summarize(std::move(per_stage[s]));
   }
   return stats;
 }

@@ -21,9 +21,9 @@
 #ifndef WWT_WWT_API_H_
 #define WWT_WWT_API_H_
 
+#include <array>
 #include <chrono>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -142,9 +142,9 @@ struct BatchStats {
   double qps = 0;
   /// End-to-end per-query latency (one sample per served query).
   LatencySummary latency;
-  /// Per pipeline stage (kStage1stIndex...kStageConsolidate) latency
-  /// across queries.
-  std::map<std::string, LatencySummary> stage_latency;
+  /// Per pipeline stage latency, indexed by Stage, over the queries
+  /// that ran the stage (count 0 when none did).
+  std::array<LatencySummary, kNumStages> stage_latency;
   /// Every query's StageTimer merged (total seconds per stage).
   StageTimer total_stage_time;
   /// Successful responses served from the response cache (LRU hits +

@@ -19,6 +19,7 @@
 #ifndef WWT_WWT_ENGINE_H_
 #define WWT_WWT_ENGINE_H_
 
+#include <array>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -34,13 +35,70 @@
 
 namespace wwt {
 
-/// Stage names recorded in QueryExecution::timing (Fig. 7's series).
-inline constexpr char kStage1stIndex[] = "1st Index";
-inline constexpr char kStage1stRead[] = "1st Table Read";
-inline constexpr char kStage2ndIndex[] = "2nd Index";
-inline constexpr char kStage2ndRead[] = "2nd Table Read";
-inline constexpr char kStageColumnMap[] = "Column Map";
-inline constexpr char kStageConsolidate[] = "Consolidate";
+/// The pipeline stages recorded in QueryExecution::timing (Fig. 7's
+/// series), in pipeline order. They index StageTimer and
+/// BatchStats::stage_latency.
+enum Stage : int {
+  kStage1stIndex,
+  kStage1stRead,
+  kStage2ndIndex,
+  kStage2ndRead,
+  kStageColumnMap,
+  kStageConsolidate,
+  kNumStages,
+};
+
+/// Display names by Stage ("1st Index" ... "Consolidate"): Fig. 7's
+/// column heads and the keys of bench_fig7_runtime's JSON.
+inline constexpr const char* kStageNames[kNumStages] = {
+    "1st Index",      "1st Table Read", "2nd Index",
+    "2nd Table Read", "Column Map",     "Consolidate"};
+
+/// Per-stage wall-clock seconds of one query, or their sum over a batch:
+/// a fixed array indexed by Stage, so recording a stage allocates
+/// nothing. ran() separates a stage that never ran (the second probe is
+/// skipped when no table is confident) from one that took 0 s.
+class StageTimer {
+ public:
+  /// Adds `seconds` to `stage` and marks it as run.
+  void Add(Stage stage, double seconds) {
+    seconds_[stage] += seconds;
+    ran_ |= 1u << stage;
+  }
+
+  /// Seconds recorded against `stage` (0 if it never ran).
+  double Get(Stage stage) const { return seconds_[stage]; }
+  bool ran(Stage stage) const { return (ran_ >> stage) & 1u; }
+
+  /// Sum over all stages.
+  double Total() const {
+    double t = 0;
+    for (double v : seconds_) t += v;
+    return t;
+  }
+
+  void Clear() { *this = StageTimer(); }
+
+ private:
+  std::array<double, kNumStages> seconds_{};
+  unsigned ran_ = 0;
+};
+
+/// RAII helper: adds the scope's duration to a StageTimer on destruction.
+class ScopedStageTimer {
+ public:
+  ScopedStageTimer(StageTimer* sink, Stage stage)
+      : sink_(sink), stage_(stage) {}
+  ~ScopedStageTimer() { sink_->Add(stage_, timer_.ElapsedSeconds()); }
+
+  ScopedStageTimer(const ScopedStageTimer&) = delete;
+  ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
+
+ private:
+  StageTimer* sink_;
+  Stage stage_;
+  WallTimer timer_;
+};
 
 /// What the scatter-gather does when a shard probe fails (only remote
 /// probes can fail — a local TableIndex::Search cannot). Either way a

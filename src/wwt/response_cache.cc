@@ -229,9 +229,8 @@ ResponseCache::Stats ResponseCache::GetStats() const {
 namespace {
 
 /// Approximate per-node overhead of unordered containers (bucket slot +
-/// node header) and of std::map/std::list nodes.
+/// node header).
 constexpr size_t kHashNodeOverhead = 3 * sizeof(void*);
-constexpr size_t kTreeNodeOverhead = 4 * sizeof(void*);
 
 size_t HeapOf(const std::string& s) { return s.size(); }
 
@@ -314,16 +313,6 @@ size_t HeapOf(const AnswerTable& answer) {
   return bytes;
 }
 
-size_t HeapOf(const StageTimer& timing) {
-  size_t bytes = 0;
-  for (const auto& [stage, seconds] : timing.stages()) {
-    (void)seconds;
-    bytes += HeapOf(stage) + sizeof(std::pair<std::string, double>) +
-             kTreeNodeOverhead;
-  }
-  return bytes;
-}
-
 }  // namespace
 
 size_t ApproxResponseBytes(const QueryResponse& response) {
@@ -336,7 +325,6 @@ size_t ApproxResponseBytes(const QueryResponse& response) {
   }
   bytes += HeapOf(response.mapping);
   bytes += HeapOf(response.answer);
-  bytes += HeapOf(response.timing);
   return bytes;
 }
 

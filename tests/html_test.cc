@@ -187,7 +187,6 @@ TEST(DomTest, PathToRootAndDepth) {
   ASSERT_NE(c, nullptr);
   auto path = c->PathToRoot();
   EXPECT_EQ(path.size(), 4u);  // c, b, a, document
-  EXPECT_EQ(c->Depth(), 3u);
   EXPECT_EQ(path.back()->type(), NodeType::kDocument);
 }
 

@@ -172,27 +172,5 @@ TEST(TableStoreTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(DeserializeTable("4:wwt1\n9999:truncated").ok());
 }
 
-TEST(TableStoreTest, FileRoundTrip) {
-  TableStore store;
-  store.Put(MakeTable(0, "alpha", "ctx", {{"1", "2"}}));
-  store.Put(MakeTable(0, "beta", "", {{"3", "4"}, {"5", "6"}}));
-  std::string path = ::testing::TempDir() + "/wwt_store_test.bin";
-  ASSERT_TRUE(store.SaveToFile(path).ok());
-
-  TableStore loaded;
-  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
-  ASSERT_EQ(loaded.size(), 2u);
-  auto t1 = loaded.Get(1);
-  ASSERT_TRUE(t1.ok());
-  EXPECT_EQ(t1->header_rows[0][0], "beta");
-  EXPECT_EQ(t1->body[1][1], "6");
-  std::remove(path.c_str());
-}
-
-TEST(TableStoreTest, LoadMissingFileFails) {
-  TableStore store;
-  EXPECT_TRUE(store.LoadFromFile("/nonexistent/nope.bin").IsIOError());
-}
-
 }  // namespace
 }  // namespace wwt

@@ -24,12 +24,6 @@ WebTable SampleTable() {
   return t;
 }
 
-TEST(WebTableTest, HeaderTextJoinsRows) {
-  WebTable t = SampleTable();
-  EXPECT_EQ(t.HeaderText(2), "Areas explored");
-  EXPECT_EQ(t.HeaderText(0), "Name");
-}
-
 TEST(WebTableTest, ContextTextJoinsSnippets) {
   WebTable t = SampleTable();
   EXPECT_EQ(t.ContextText(), "This article lists explorations WebPedia");

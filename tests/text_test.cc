@@ -237,17 +237,6 @@ TEST(SparseVectorTest, CosineSymmetricAndBounded) {
   EXPECT_LE(ab, 1.0);
 }
 
-TEST(SparseVectorTest, FromTermsUsesIdfAndSkipsInvalid) {
-  IdfDictionary idf;
-  idf.AddDocument({1});
-  idf.AddDocument({1, 2});
-  SparseVector v =
-      SparseVector::FromTerms({1, 2, kInvalidTerm, 1}, idf);
-  EXPECT_DOUBLE_EQ(v.Get(1), 2 * idf.Idf(1));  // tf=2
-  EXPECT_DOUBLE_EQ(v.Get(2), idf.Idf(2));
-  EXPECT_EQ(v.size(), 2u);
-}
-
 // Property sweep: cosine stays in [0, 1] for random vectors.
 class CosinePropertyTest : public ::testing::TestWithParam<int> {};
 

@@ -225,11 +225,12 @@ TEST(AnalysisConfigTest, RaceLabelCoversEveryRaceSuite) {
   // races: all must carry the race label, or the TSan tier silently
   // stops covering them. net_rpc_test and distributed_serving_test
   // exercise the wire servers' accept/shutdown and the scatter-gather
-  // router; fresh_race_test is the freshness merge storm.
+  // router; fresh_race_test is the freshness merge storm;
+  // wwt_response_stream_test is the --stdin response pipeline.
   for (const char* suite :
        {"wwt_cache_race_test", "wwt_shard_race_test", "wwt_mmap_serving_test",
         "util_thread_pool_test", "net_rpc_test", "distributed_serving_test",
-        "fresh_race_test"}) {
+        "fresh_race_test", "wwt_response_stream_test"}) {
     EXPECT_NE(race_list.find(suite), std::string::npos)
         << suite << " fell out of WWT_RACE_TESTS";
   }

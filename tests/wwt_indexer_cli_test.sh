@@ -2,8 +2,10 @@
 # CTest smoke for the wwt_indexer CLI (labels: unit). Drives the real
 # binary end to end: build a tiny corpus, revalidate it without --force,
 # --inspect both artifact kinds, rebuild with --force, write a sharded
-# set, and assert the error contract — an unwritable output path exits
-# non-zero with a one-line "wwt_indexer: ..." diagnostic, never a crash.
+# set, and assert the error contract — an unwritable output path or a
+# malformed numeric flag exits non-zero with a one-line
+# "wwt_indexer: ..." diagnostic, never a crash or a silent default —
+# and that --format json escapes the strings it prints.
 set -u
 
 INDEXER="${1:?usage: wwt_indexer_cli_test.sh /path/to/wwt_indexer}"
@@ -90,5 +92,42 @@ if "$INDEXER" --out "$TMP/blocker/sub/x.wwtset" "${ARGS[@]}" --shards 2 \
 fi
 [ "$(grep -c '^wwt_indexer: ' "$TMP/err2.txt")" -eq 1 ] \
   || fail "expected exactly one 'wwt_indexer: ...' error line (sharded)"
+
+# Malformed numeric flags fail: they are never read as 0 or a default
+# (a scale read as 0 writes a 0-table snapshot).
+for bad in "--scale abc" "--scale -1" "--scale 0" "--seed abc" \
+    "--seed -3" "--noise-pages 1x" "--shards 2.5"; do
+  set -- $bad
+  if "$INDEXER" --out "$TMP/badflag.wwtsnap" "$@" >/dev/null \
+      2>"$TMP/badflag.err"; then
+    fail "'$bad' did not fail"
+  fi
+  [ "$(wc -l <"$TMP/badflag.err")" -eq 1 ] \
+    || fail "'$bad' printed more than one line"
+  grep -q "^wwt_indexer: $1 wants .*, got '$2'\$" "$TMP/badflag.err" \
+    || fail "'$bad' has the wrong diagnostic: $(cat "$TMP/badflag.err")"
+  [ -e "$TMP/badflag.wwtsnap" ] && fail "'$bad' wrote an artifact"
+done
+
+# --format json escapes what it prints: a path with a quote and a
+# backslash, and the shard file names derived from it.
+ODD="$TMP/q\"uo\\te"
+cp "$TMP/tiny.wwtsnap" "$ODD.wwtsnap"
+"$INDEXER" --inspect "$ODD.wwtsnap" --format json >"$TMP/odd.json" \
+  || fail "json inspect of an odd path exited non-zero"
+grep -qF 'q\"uo\\te.wwtsnap"' "$TMP/odd.json" \
+  || fail "json inspect did not escape the path"
+"$INDEXER" --out "$ODD.wwtset" "${ARGS[@]}" --shards 2 >/dev/null \
+  || fail "sharded build at an odd path failed"
+"$INDEXER" --inspect "$ODD.wwtset" --format json >"$TMP/oddset.json" \
+  || fail "json inspect of an odd set exited non-zero"
+grep -qF '"file": "q\"uo\\te.shard-0-of-2.wwtsnap"' "$TMP/oddset.json" \
+  || fail "json inspect did not escape the shard file names"
+if command -v python3 >/dev/null 2>&1; then
+  for f in odd oddset; do
+    python3 -m json.tool "$TMP/$f.json" >/dev/null \
+      || fail "$f.json is not valid JSON"
+  done
+fi
 
 echo "wwt_indexer_cli_test: PASS"

@@ -17,6 +17,9 @@
 #      digest-equality tentpole, driven end to end through the CLI.
 #   5. SIGHUP in --stdin mode atomically reloads the snapshot between
 #      lines; the run keeps serving and says so on stderr.
+#   6. Malformed numbers fail instead of wrapping or falling back to a
+#      default: a mutation id above the 32-bit range, and numeric flag
+#      values that are not whole, in-range numbers.
 set -u
 
 INDEXER="${1:?usage: wwt_serve_cli_test.sh /path/to/wwt_indexer /path/to/wwt_serve}"
@@ -224,5 +227,35 @@ wait "$HUP_PID" || fail "SIGHUP run exited non-zero"
 grep -q '^reloaded ' "$TMP/hup.err" || fail "no reload line after SIGHUP"
 grep -q '^served 2 queries' "$TMP/hup.err" \
   || fail "SIGHUP run did not keep serving"
+
+# ---- 6. Malformed numbers fail. A mutation id past 4294967295 would
+# wrap onto table 0 if narrowed; it is a malformed line, reported with
+# file:line context.
+printf 'tombstone | 4294967296\n' >"$TMP/wrap_muts.txt"
+if "$SERVE" --snapshot "$TMP/tiny.wwtset" --fresh \
+    --mutations "$TMP/wrap_muts.txt" >/dev/null 2>"$TMP/wrap.err"; then
+  fail "out-of-range mutation id did not fail"
+fi
+grep -q 'wrap_muts.txt:1: InvalidArgument' "$TMP/wrap.err" \
+  || fail "out-of-range mutation id lost its file:line context"
+
+# Numeric flags read the whole value and check its range.
+check_bad_flag() {  # FLAG VALUE
+  if "$SERVE" --snapshot "$TMP/tiny.wwtsnap" "$1" "$2" --quiet \
+      >/dev/null 2>"$TMP/flag.err"; then
+    fail "$1 '$2' did not fail"
+  fi
+  [ "$(wc -l <"$TMP/flag.err")" -eq 1 ] \
+    || fail "$1 '$2' printed more than one line"
+  grep -q "^wwt_serve: $1 wants .*, got '$2'\$" "$TMP/flag.err" \
+    || fail "$1 '$2' has the wrong diagnostic: $(cat "$TMP/flag.err")"
+}
+check_bad_flag --threads abc
+check_bad_flag --threads -1
+check_bad_flag --batch-mult x
+check_bad_flag --batch-mult 0
+check_bad_flag --k 5x
+check_bad_flag --cache-mb inf
+check_bad_flag --merge-shards 2x
 
 echo "wwt_serve_cli_test: PASS"

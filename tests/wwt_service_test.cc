@@ -130,15 +130,18 @@ TEST_F(WwtServiceCorpusTest, RunBatchKeepsBatchStats) {
   EXPECT_LE(st.latency.p95, st.latency.p99);
   EXPECT_LE(st.latency.p99, st.latency.max);
   // Merged stage accounting equals the sum over per-query timers.
-  double merged = 0;
-  for (const auto& [stage, seconds] : st.total_stage_time.stages()) {
-    EXPECT_TRUE(st.stage_latency.count(stage)) << stage;
-    merged += seconds;
+  // A stage's latency summary covers exactly the queries that ran it.
+  for (int s = 0; s < kNumStages; ++s) {
+    const Stage stage = static_cast<Stage>(s);
+    size_t ran = 0;
+    for (const QueryResponse& r : batch.responses) ran += r.timing.ran(stage);
+    EXPECT_EQ(st.stage_latency[s].count, ran) << kStageNames[s];
+    EXPECT_EQ(st.total_stage_time.ran(stage), ran > 0) << kStageNames[s];
   }
   double summed = 0;
   for (const QueryResponse& r : batch.responses) summed += r.timing.Total();
-  EXPECT_NEAR(merged, summed, 1e-9);
-  EXPECT_TRUE(st.stage_latency.count(kStage1stIndex));
+  EXPECT_NEAR(st.total_stage_time.Total(), summed, 1e-9);
+  EXPECT_EQ(st.stage_latency[kStage1stIndex].count, queries.size());
 
   // Concurrency beyond the pool width is clamped, not an error; the
   // stats report the shards actually used (never more than queries).

@@ -24,6 +24,32 @@ class EngineTest : public ::testing::Test {
   }
 };
 
+TEST(StageTimerTest, AccumulatesPerStage) {
+  StageTimer timer;
+  timer.Add(kStage1stIndex, 1.0);
+  timer.Add(kStage1stIndex, 0.5);
+  timer.Add(kStageColumnMap, 2.0);
+  EXPECT_DOUBLE_EQ(timer.Get(kStage1stIndex), 1.5);
+  EXPECT_DOUBLE_EQ(timer.Get(kStageColumnMap), 2.0);
+  EXPECT_DOUBLE_EQ(timer.Get(kStage2ndIndex), 0.0);
+  EXPECT_TRUE(timer.ran(kStage1stIndex));
+  EXPECT_FALSE(timer.ran(kStage2ndIndex));
+  EXPECT_DOUBLE_EQ(timer.Total(), 3.5);
+  timer.Clear();
+  EXPECT_FALSE(timer.ran(kStage1stIndex));
+  EXPECT_DOUBLE_EQ(timer.Total(), 0.0);
+}
+
+TEST(StageTimerTest, ScopedTimerMarksItsStage) {
+  StageTimer timer;
+  {
+    ScopedStageTimer scoped(&timer, kStageConsolidate);
+  }
+  EXPECT_GE(timer.Get(kStageConsolidate), 0.0);
+  EXPECT_TRUE(timer.ran(kStageConsolidate));
+  EXPECT_FALSE(timer.ran(kStageColumnMap));
+}
+
 TEST_F(EngineTest, ExplorersQueryEndToEnd) {
   const Corpus& c = GetCorpus();
   WwtEngine engine(&c.store, c.index.get(), {});

@@ -25,13 +25,14 @@
 // "wwt_indexer: ..." line on stderr and a non-zero exit.
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "fresh/delta_shard.h"
 #include "index/snapshot.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace {
@@ -81,7 +82,7 @@ void PrintManifest(const wwt::SetManifest& m, const std::string& path) {
 void PrintInfoJson(const wwt::SnapshotInfo& info, const std::string& path) {
   std::printf("{\n");
   std::printf("  \"kind\": \"snapshot\",\n");
-  std::printf("  \"path\": \"%s\",\n", path.c_str());
+  std::printf("  \"path\": \"%s\",\n", wwt::JsonEscape(path).c_str());
   std::printf("  \"format_version\": %u,\n", info.format_version);
   std::printf("  \"content_hash\": \"%016llx\",\n",
               static_cast<unsigned long long>(info.content_hash));
@@ -100,7 +101,8 @@ void PrintInfoJson(const wwt::SnapshotInfo& info, const std::string& path) {
   std::printf("  \"sections\": [");
   for (size_t s = 0; s < info.sections.size(); ++s) {
     std::printf("%s\n    {\"tag\": \"%s\", \"bytes\": %llu}",
-                s == 0 ? "" : ",", info.sections[s].tag.c_str(),
+                s == 0 ? "" : ",",
+                wwt::JsonEscape(info.sections[s].tag).c_str(),
                 static_cast<unsigned long long>(info.sections[s].bytes));
   }
   std::printf("\n  ]\n}\n");
@@ -109,7 +111,7 @@ void PrintInfoJson(const wwt::SnapshotInfo& info, const std::string& path) {
 void PrintManifestJson(const wwt::SetManifest& m, const std::string& path) {
   std::printf("{\n");
   std::printf("  \"kind\": \"set\",\n");
-  std::printf("  \"path\": \"%s\",\n", path.c_str());
+  std::printf("  \"path\": \"%s\",\n", wwt::JsonEscape(path).c_str());
   std::printf("  \"format_version\": %u,\n", m.format_version);
   std::printf("  \"content_hash\": \"%016llx\",\n",
               static_cast<unsigned long long>(m.set_hash));
@@ -125,7 +127,7 @@ void PrintManifestJson(const wwt::SetManifest& m, const std::string& path) {
     std::printf(
         "%s\n    {\"file\": \"%s\", \"content_hash\": \"%016llx\", "
         "\"first_table_id\": %llu, \"num_tables\": %llu}",
-        s == 0 ? "" : ",", e.file.c_str(),
+        s == 0 ? "" : ",", wwt::JsonEscape(e.file).c_str(),
         static_cast<unsigned long long>(e.content_hash),
         static_cast<unsigned long long>(e.first_table_id),
         static_cast<unsigned long long>(e.num_tables));
@@ -162,7 +164,7 @@ void PrintJournalJson(const wwt::fresh::DeltaJournalInfo& info,
                       const std::string& path) {
   std::printf("{\n");
   std::printf("  \"kind\": \"delta-journal\",\n");
-  std::printf("  \"path\": \"%s\",\n", path.c_str());
+  std::printf("  \"path\": \"%s\",\n", wwt::JsonEscape(path).c_str());
   std::printf("  \"format_version\": %u,\n", info.format_version);
   std::printf("  \"base_hash\": \"%016llx\",\n",
               static_cast<unsigned long long>(info.base_hash));
@@ -241,6 +243,14 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // Numeric values are read whole and range-checked, or the run fails
+    // with one "--flag wants ..., got '...'" line. The scale and
+    // noise-page caps keep their product, which the generator rounds to
+    // an int page count, in range.
+    auto bad = [&](const char* wants, const char* v) {
+      return Fail(arg + " wants " + wants + ", got '" + v + "'");
+    };
+    uint64_t n = 0;
     if (arg == "--out") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
@@ -252,30 +262,36 @@ int main(int argc, char** argv) {
     } else if (arg == "--scale") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      options.scale = std::atof(v);
+      if (!wwt::ParseDouble(v, wwt::kMinPositive, 1000, &options.scale)) {
+        return bad("a corpus scale in (0, 1000]", v);
+      }
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      options.seed = std::strtoull(v, nullptr, 10);
+      if (!wwt::ParseUint(v, 0, UINT64_MAX, &options.seed)) {
+        return bad("a non-negative integer", v);
+      }
     } else if (arg == "--format") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
       format = v;
       if (format != "text" && format != "json") {
-        return Fail("--format wants 'text' or 'json', got '" + format + "'");
+        return bad("'text' or 'json'", v);
       }
     } else if (arg == "--noise-pages") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      options.noise_pages = std::atoi(v);
+      if (!wwt::ParseUint(v, 0, 1000000, &n)) {
+        return bad("a page count in [0, 1000000]", v);
+      }
+      options.noise_pages = static_cast<int>(n);
     } else if (arg == "--shards") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      shards = std::atoi(v);
-      if (shards < 1) {
-        return Fail(std::string("--shards wants a positive count, got '") +
-                    v + "'");
+      if (!wwt::ParseUint(v, 1, INT_MAX, &n)) {
+        return bad("a positive count", v);
       }
+      shards = static_cast<int>(n);
       shards_set = true;
     } else if (arg == "--force") {
       force = true;

@@ -11,44 +11,28 @@
 //   * batch over a --queries file (one query per line, columns '|')
 //   * --stdin line protocol: one query per line on stdin, one response
 //     line on stdout per query, in input order, flushed as answered.
-//     Lines are submitted asynchronously as they arrive (a bounded
-//     pipeline over WwtService::Submit), so a fast producer builds a
-//     real queue — where --deadline-ms expires stragglers — while an
+//     Lines are submitted as they arrive through a wwt::ResponseStream
+//     (src/wwt/response_stream.h), so a fast producer builds a real
+//     queue — where --deadline-ms expires stragglers — while an
 //     interactive user still sees each answer as soon as it is ready.
 //
 // Output is human text or, with --format json, one JSON object per
 // query plus a summary object (machine-consumable; strings escaped).
 //
 // Error contract: every failure path — missing/corrupt snapshot,
-// unreadable or queryless --queries file, a rejected request — exits
-// non-zero with a one-line "wwt_serve: ..." diagnostic on stderr,
-// never a crash or silent empty output.
+// unreadable or queryless --queries file, a malformed flag value or
+// mutation line, a rejected request — exits non-zero with a one-line
+// "wwt_serve: ..." diagnostic on stderr, never a crash or silent empty
+// output.
 //
-// Usage:
-//   wwt_serve --snapshot PATH [--threads N] [--batch-mult M]
-//             [--queries FILE | --stdin] [--format text|json]
-//             [--deadline-ms D] [--quiet]
-//             [--cache-mb MB] [--cache-ttl-ms T | --no-cache]
-//             [--k K] [--scorer wand|exhaustive]
-//             [--worker ADDR[,ADDR...]]... [--hedge-ms H]
-//             [--rpc-timeout-ms T] [--on-dead-shard fail|partial]
-//             [--fresh | --journal PATH] [--mutations FILE]
-//             [--merge-out PATH [--merge-now | --merge-shards N
-//              --merge-max-pending N --merge-max-age-ms T
-//              --merge-poll-ms T]]
+// Usage: wwt_serve --snapshot PATH [flags]; Usage() below lists them.
 //
 // Freshness mode (docs/FRESHNESS.md): --fresh (memory-only) or
 // --journal PATH (crash-tolerant, replayed at startup) layers a
 // mutable delta over the frozen set. --mutations FILE applies one
-// mutation per line before serving:
-//
-//   add | TITLE | H1 , H2 | r1c1 , r1c2 ; r2c1 , r2c2 [| CONTEXT]
-//   update | ID | TITLE | HEADER | BODY [| CONTEXT]
-//   override-title | ID | TEXT
-//   override-header | ID | ROW | COL | TEXT
-//   override-cell | ID | ROW | COL | TEXT
-//   override-context | ID | TEXT
-//   tombstone | ID
+// mutation per line before serving, in the grammar of
+// src/fresh/mutation_line.h (add, update, override-title,
+// override-context, override-header, override-cell, tombstone).
 //
 // --merge-now folds the delta into a fresh sharded set at --merge-out
 // and swaps it in before serving; the daemon flags instead start a
@@ -78,11 +62,6 @@
 // reference — answers are identical either way, see docs/RETRIEVAL.md).
 // Both land in the summary so recorded runs identify their scorer.
 //
-// --deadline-ms requires --stdin: only there is a request stamped when
-// it arrives, making the deadline genuinely per-query. Batch mode
-// builds every request up front, where one absolute deadline would
-// spuriously expire tail queries as the batch drains.
-//
 // The fingerprint-keyed response cache is on by default (--cache-mb 64,
 // no TTL): repeated queries are answered from memory, concurrent
 // identical queries coalesce onto one execution, and a snapshot swap
@@ -93,31 +72,35 @@
 #include <signal.h>
 
 #include <algorithm>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <fstream>
-#include <future>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "fresh/merge.h"
+#include "fresh/mutation_line.h"
 #include "index/snapshot.h"
 #include "index/table_index.h"
 #include "net/shard_client.h"
 #include "util/hash.h"
-#include "util/thread_annotations.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
+#include "wwt/response_stream.h"
 #include "wwt/service.h"
 
 namespace {
+
+/// The millisecond flags' upper bound (~11.6 days: every conversion to a
+/// clock duration or a poll(2) timeout stays in range) and message.
+constexpr double kMaxMillis = 1e9;
+constexpr char kWantsMillis[] = "a positive number of milliseconds";
 
 /// "a | b | c" -> {"a", "b", "c"}, trimmed. A line that is entirely
 /// whitespace is no query at all and yields an empty vector (callers
@@ -125,41 +108,9 @@ namespace {
 /// empty ones ("a||b", "a|b|") — so ValidateQueryRequest rejects the
 /// malformed query instead of silently collapsing it into a different
 /// one. Both input modes (--stdin and --queries) share this contract.
-std::vector<std::string> SplitColumns(const std::string& line) {
-  if (line.find_first_not_of(" \t\r") == std::string::npos) return {};
-  std::vector<std::string> cols;
-  size_t start = 0;
-  for (;;) {
-    const size_t bar = line.find('|', start);
-    const std::string col =
-        bar == std::string::npos ? line.substr(start)
-                                 : line.substr(start, bar - start);
-    const size_t begin = col.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) {
-      cols.emplace_back();
-    } else {
-      const size_t end = col.find_last_not_of(" \t\r");
-      cols.push_back(col.substr(begin, end - begin + 1));
-    }
-    if (bar == std::string::npos) break;
-    start = bar + 1;
-  }
-  return cols;
-}
-
-/// "ADDR,ADDR,..." -> the replica list for one shard's --worker flag.
-std::vector<std::string> SplitReplicas(const std::string& spec) {
-  std::vector<std::string> replicas;
-  size_t start = 0;
-  for (;;) {
-    const size_t comma = spec.find(',', start);
-    replicas.push_back(comma == std::string::npos
-                           ? spec.substr(start)
-                           : spec.substr(start, comma - start));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return replicas;
+std::vector<std::string> QueryColumns(const std::string& line) {
+  if (wwt::StripWhitespace(line).empty()) return {};
+  return wwt::SplitTrimmed(line, '|');
 }
 
 /// Set by the SIGHUP handler, consumed by the --stdin reader loop.
@@ -167,174 +118,12 @@ volatile std::sig_atomic_t g_reload_requested = 0;
 
 void HandleSighup(int) { g_reload_requested = 1; }
 
-/// "a , b , c" -> {"a", "b", "c"}, trimmed; empty cells are kept (a
-/// table cell may legitimately be blank).
-std::vector<std::string> SplitTrim(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  for (;;) {
-    const size_t at = s.find(sep, start);
-    const std::string part = at == std::string::npos
-                                 ? s.substr(start)
-                                 : s.substr(start, at - start);
-    const size_t begin = part.find_first_not_of(" \t\r");
-    if (begin == std::string::npos) {
-      parts.emplace_back();
-    } else {
-      const size_t end = part.find_last_not_of(" \t\r");
-      parts.push_back(part.substr(begin, end - begin + 1));
-    }
-    if (at == std::string::npos) break;
-    start = at + 1;
-  }
-  return parts;
-}
-
-/// "r1c1 , r1c2 ; r2c1 , r2c2" -> body rows (';' rows, ',' cells).
-std::vector<std::vector<std::string>> ParseBodySpec(const std::string& s) {
-  std::vector<std::vector<std::string>> rows;
-  for (const std::string& row : SplitTrim(s, ';')) {
-    rows.push_back(SplitTrim(row, ','));
-  }
-  return rows;
-}
-
-bool ParseTableId(const std::string& s, wwt::TableId* id) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return false;
-  *id = static_cast<wwt::TableId>(value);
-  return true;
-}
-
-bool ParseCellIndex(const std::string& s, uint32_t* index) {
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0') return false;
-  *index = static_cast<uint32_t>(value);
-  return true;
-}
-
-/// Builds the WebTable of an `add`/`update` mutation from its
-/// TITLE | HEADER | BODY [| CONTEXT] fields.
-wwt::WebTable TableFromFields(const std::vector<std::string>& f,
-                              size_t first) {
-  wwt::WebTable t;
-  t.title_rows.push_back(f[first]);
-  const std::vector<std::string> header = SplitTrim(f[first + 1], ',');
-  t.header_rows.push_back(header);
-  t.num_cols = static_cast<int>(header.size());
-  t.body = ParseBodySpec(f[first + 2]);
-  t.url = "fresh://mutation/" + f[first];
-  if (f.size() > first + 3 && !f[first + 3].empty()) {
-    t.context.push_back({f[first + 3], 1.0});
-  }
-  return t;
-}
-
-/// Applies one --mutations line (grammar in the header comment) to the
-/// service's freshness layer. An all-whitespace or '#' comment line is
-/// an OK no-op.
-wwt::Status ApplyMutationLine(wwt::WwtService* service,
-                              const std::string& line) {
-  std::vector<std::string> f = SplitColumns(line);
-  if (f.empty() || f[0].empty() || f[0][0] == '#') return wwt::Status::OK();
-  const std::string& op = f[0];
-  if (op == "add") {
-    if (f.size() < 4) {
-      return wwt::Status::InvalidArgument(
-          "add wants TITLE | HEADER | BODY [| CONTEXT]");
-    }
-    return service->AddTable(TableFromFields(f, 1)).status();
-  }
-  // Every other op names a table id next.
-  wwt::TableId id = 0;
-  if (f.size() < 2 || !ParseTableId(f[1], &id)) {
-    return wwt::Status::InvalidArgument("'", op,
-                                        "' wants a numeric table id");
-  }
-  if (op == "update") {
-    if (f.size() < 5) {
-      return wwt::Status::InvalidArgument(
-          "update wants ID | TITLE | HEADER | BODY [| CONTEXT]");
-    }
-    wwt::WebTable t = TableFromFields(f, 2);
-    t.id = id;
-    return service->UpdateTable(std::move(t));
-  }
-  if (op == "tombstone") {
-    return service->TombstoneTable(id);
-  }
-  wwt::fresh::SummaryOverride patch;
-  if (op == "override-title") {
-    if (f.size() < 3) {
-      return wwt::Status::InvalidArgument("override-title wants ID | TEXT");
-    }
-    patch.title = f[2];
-  } else if (op == "override-context") {
-    if (f.size() < 3) {
-      return wwt::Status::InvalidArgument(
-          "override-context wants ID | TEXT");
-    }
-    patch.context = f[2];
-  } else if (op == "override-header" || op == "override-cell") {
-    wwt::fresh::SummaryOverride::CellEdit edit;
-    if (f.size() < 5 || !ParseCellIndex(f[2], &edit.row) ||
-        !ParseCellIndex(f[3], &edit.col)) {
-      return wwt::Status::InvalidArgument("'", op,
-                                          "' wants ID | ROW | COL | TEXT");
-    }
-    edit.text = f[4];
-    if (op == "override-header") {
-      patch.header_cells.push_back(std::move(edit));
-    } else {
-      patch.body_cells.push_back(std::move(edit));
-    }
-  } else {
-    return wwt::Status::InvalidArgument("unknown mutation op '", op, "'");
-  }
-  return service->OverrideSummary(id, patch);
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// One response as a single JSON line (the --format json per-query
 /// record, also the --stdin json protocol).
 void PrintJsonResponse(const wwt::QueryResponse& r, int max_rows) {
-  std::printf("{\"tag\": \"%s\", \"status\": \"%s\"",
-              JsonEscape(r.tag).c_str(),
-              JsonEscape(r.status.ok() ? "OK" : r.status.ToString()).c_str());
+  std::printf(
+      "{\"tag\": \"%s\", \"status\": \"%s\"", wwt::JsonEscape(r.tag).c_str(),
+      wwt::JsonEscape(r.status.ok() ? "OK" : r.status.ToString()).c_str());
   if (r.ok()) {
     // The digest hash is the byte-identity handle: two runs (e.g. the
     // in-process engine vs the scatter-gather router) answered
@@ -361,7 +150,7 @@ void PrintJsonResponse(const wwt::QueryResponse& r, int max_rows) {
       std::printf("%s{\"cells\": [", i > 0 ? ", " : "");
       for (size_t c = 0; c < row.cells.size(); ++c) {
         std::printf("%s\"%s\"", c > 0 ? ", " : "",
-                    JsonEscape(row.cells[c]).c_str());
+                    wwt::JsonEscape(row.cells[c]).c_str());
       }
       std::printf("], \"support\": %d}", row.support);
     }
@@ -441,195 +230,102 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--snapshot") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      snapshot_path = v;
-    } else if (arg == "--queries") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      queries_path = v;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      threads = std::atoi(v);
-    } else if (arg == "--batch-mult") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      batch_mult = std::max(1, std::atoi(v));
-      batch_mult_set = true;
-    } else if (arg == "--format") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      format = v;
-      if (format != "text" && format != "json") return Usage(argv[0]);
-    } else if (arg == "--deadline-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      deadline_ms = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !(deadline_ms > 0)) {
-        return Fail(std::string("--deadline-ms wants a positive number "
-                                "of milliseconds, got '") +
-                    v + "'");
-      }
-    } else if (arg == "--cache-mb") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      cache_mb = std::strtod(v, &end);
-      // The upper bound keeps cache_mb * 1 MiB inside size_t: an
-      // out-of-range double-to-integer conversion is UB, which could
-      // silently disable the cache the caller asked to enlarge.
-      if (end == v || *end != '\0' || !(cache_mb > 0) ||
-          !(cache_mb <= 1e12)) {
-        return Fail(std::string("--cache-mb wants a number of megabytes "
-                                "in (0, 1e12], got '") +
-                    v + "'");
-      }
-      cache_flag_set = true;
-    } else if (arg == "--cache-ttl-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      cache_ttl_ms = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !(cache_ttl_ms > 0)) {
-        return Fail(std::string("--cache-ttl-ms wants a positive number "
-                                "of milliseconds, got '") +
-                    v + "'");
-      }
-      cache_flag_set = true;
-    } else if (arg == "--k") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      probe_k = std::atoi(v);
-      if (probe_k < 1) {
-        return Fail(std::string("--k wants a positive top-k, got '") + v +
-                    "'");
-      }
-    } else if (arg == "--scorer") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      if (!wwt::ParseProbeScorer(v, &scorer)) {
-        return Fail(std::string("--scorer wants 'wand' or 'exhaustive', "
-                                "got '") +
-                    v + "'");
-      }
-    } else if (arg == "--worker") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      std::vector<std::string> replicas = SplitReplicas(v);
-      for (const std::string& replica : replicas) {
-        if (replica.empty()) {
-          return Fail(std::string("--worker wants ADDR[,ADDR...], got '") +
-                      v + "'");
-        }
-      }
-      worker_groups.push_back(std::move(replicas));
-    } else if (arg == "--hedge-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      hedge_ms = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !(hedge_ms > 0)) {
-        return Fail(std::string("--hedge-ms wants a positive number of "
-                                "milliseconds, got '") +
-                    v + "'");
-      }
-    } else if (arg == "--rpc-timeout-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      rpc_timeout_ms = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !(rpc_timeout_ms > 0)) {
-        return Fail(std::string("--rpc-timeout-ms wants a positive number "
-                                "of milliseconds, got '") +
-                    v + "'");
-      }
-      rpc_timeout_set = true;
-    } else if (arg == "--on-dead-shard") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      if (std::strcmp(v, "fail") == 0) {
-        on_dead_shard = wwt::ShardFailurePolicy::kFail;
-      } else if (std::strcmp(v, "partial") == 0) {
-        on_dead_shard = wwt::ShardFailurePolicy::kPartial;
-      } else {
-        return Fail(std::string("--on-dead-shard wants 'fail' or "
-                                "'partial', got '") +
-                    v + "'");
-      }
-      on_dead_shard_set = true;
-    } else if (arg == "--fresh") {
+    if (arg == "--fresh") {
       fresh = true;
-    } else if (arg == "--journal") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      journal_path = v;
-      fresh = true;
-    } else if (arg == "--mutations") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      mutations_path = v;
-    } else if (arg == "--merge-out") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      merge_out = v;
     } else if (arg == "--merge-now") {
       merge_now = true;
-    } else if (arg == "--merge-shards") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      merge_shards = std::atoi(v);
-      if (merge_shards < 1) {
-        return Fail(std::string("--merge-shards wants a positive shard "
-                                "count, got '") +
-                    v + "'");
-      }
-    } else if (arg == "--merge-max-pending") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      const int n = std::atoi(v);
-      if (n < 1) {
-        return Fail(std::string("--merge-max-pending wants a positive "
-                                "count, got '") +
-                    v + "'");
-      }
-      merge_max_pending = static_cast<size_t>(n);
-      daemon_flag_set = true;
-    } else if (arg == "--merge-max-age-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      merge_max_age_ms = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !(merge_max_age_ms > 0)) {
-        return Fail(std::string("--merge-max-age-ms wants a positive "
-                                "number of milliseconds, got '") +
-                    v + "'");
-      }
-      daemon_flag_set = true;
-    } else if (arg == "--merge-poll-ms") {
-      const char* v = next();
-      if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      merge_poll_ms = std::strtod(v, &end);
-      if (end == v || *end != '\0' || !(merge_poll_ms > 0)) {
-        return Fail(std::string("--merge-poll-ms wants a positive number "
-                                "of milliseconds, got '") +
-                    v + "'");
-      }
-      daemon_flag_set = true;
     } else if (arg == "--no-cache") {
       no_cache = true;
     } else if (arg == "--stdin") {
       use_stdin = true;
     } else if (arg == "--quiet") {
       quiet = true;
+    } else if (i + 1 == argc) {
+      return Usage(argv[0]);  // every other flag takes a value
     } else {
-      return Usage(argv[0]);
+      const std::string v = argv[++i];
+      // A value is read whole and range-checked, or the run fails with
+      // one "--flag wants ..., got '...'" line.
+      auto bad = [&](const char* wants) {
+        return Fail(arg + " wants " + wants + ", got '" + v + "'");
+      };
+      auto count = [&](uint64_t min, auto* out) {
+        uint64_t n = 0;
+        if (!wwt::ParseUint(v, min, INT_MAX, &n)) return false;
+        *out = static_cast<std::remove_reference_t<decltype(*out)>>(n);
+        return true;
+      };
+      auto millis = [&](double* out) {
+        return wwt::ParseDouble(v, wwt::kMinPositive, kMaxMillis, out);
+      };
+      if (arg == "--snapshot") {
+        snapshot_path = v;
+      } else if (arg == "--queries") {
+        queries_path = v;
+      } else if (arg == "--threads") {
+        if (!count(0, &threads)) return bad("a non-negative thread count");
+      } else if (arg == "--batch-mult") {
+        if (!count(1, &batch_mult)) return bad("a positive repeat count");
+        batch_mult_set = true;
+      } else if (arg == "--format") {
+        format = v;
+        if (format != "text" && format != "json") return Usage(argv[0]);
+      } else if (arg == "--deadline-ms") {
+        if (!millis(&deadline_ms)) return bad(kWantsMillis);
+      } else if (arg == "--cache-mb") {
+        // The upper bound keeps cache_mb * 1 MiB inside size_t: an
+        // out-of-range double-to-integer conversion is UB, which could
+        // silently disable the cache the caller asked to enlarge.
+        if (!wwt::ParseDouble(v, wwt::kMinPositive, 1e12, &cache_mb)) {
+          return bad("a number of megabytes in (0, 1e12]");
+        }
+        cache_flag_set = true;
+      } else if (arg == "--cache-ttl-ms") {
+        if (!millis(&cache_ttl_ms)) return bad(kWantsMillis);
+        cache_flag_set = true;
+      } else if (arg == "--k") {
+        if (!count(1, &probe_k)) return bad("a positive top-k");
+      } else if (arg == "--scorer") {
+        if (!wwt::ParseProbeScorer(v, &scorer)) {
+          return bad("'wand' or 'exhaustive'");
+        }
+      } else if (arg == "--worker") {
+        std::vector<std::string> replicas = wwt::SplitTrimmed(v, ',');
+        for (const std::string& replica : replicas) {
+          if (replica.empty()) return bad("ADDR[,ADDR...]");
+        }
+        worker_groups.push_back(std::move(replicas));
+      } else if (arg == "--hedge-ms") {
+        if (!millis(&hedge_ms)) return bad(kWantsMillis);
+      } else if (arg == "--rpc-timeout-ms") {
+        if (!millis(&rpc_timeout_ms)) return bad(kWantsMillis);
+        rpc_timeout_set = true;
+      } else if (arg == "--on-dead-shard") {
+        if (v != "fail" && v != "partial") return bad("'fail' or 'partial'");
+        on_dead_shard = v == "partial" ? wwt::ShardFailurePolicy::kPartial
+                                       : wwt::ShardFailurePolicy::kFail;
+        on_dead_shard_set = true;
+      } else if (arg == "--journal") {
+        journal_path = v;
+        fresh = true;
+      } else if (arg == "--mutations") {
+        mutations_path = v;
+      } else if (arg == "--merge-out") {
+        merge_out = v;
+      } else if (arg == "--merge-shards") {
+        if (!count(1, &merge_shards)) return bad("a positive shard count");
+      } else if (arg == "--merge-max-pending") {
+        if (!count(1, &merge_max_pending)) return bad("a positive count");
+        daemon_flag_set = true;
+      } else if (arg == "--merge-max-age-ms") {
+        if (!millis(&merge_max_age_ms)) return bad(kWantsMillis);
+        daemon_flag_set = true;
+      } else if (arg == "--merge-poll-ms") {
+        if (!millis(&merge_poll_ms)) return bad(kWantsMillis);
+        daemon_flag_set = true;
+      } else {
+        return Usage(argv[0]);
+      }
     }
   }
   if (snapshot_path.empty()) return Usage(argv[0]);
@@ -726,19 +422,19 @@ int main(int argc, char** argv) {
       if (!in) {
         return Fail("cannot read mutations file '" + mutations_path + "'");
       }
+      const std::shared_ptr<wwt::fresh::DeltaShard> delta =
+          (*service)->delta_shard();
       std::string line;
       size_t line_no = 0, applied = 0;
       while (std::getline(in, line)) {
         ++line_no;
-        const std::vector<std::string> f = SplitColumns(line);
-        if (f.empty() || f[0].empty() || f[0][0] == '#') continue;
-        const wwt::Status status =
-            ApplyMutationLine(service->get(), line);
-        if (!status.ok()) {
+        const wwt::StatusOr<bool> mutated =
+            wwt::fresh::ApplyMutationLine(delta.get(), line);
+        if (!mutated.ok()) {
           return Fail(mutations_path + ":" + std::to_string(line_no) +
-                      ": " + status.ToString());
+                      ": " + mutated.status().ToString());
         }
-        ++applied;
+        applied += *mutated;
       }
       if (!json) {
         std::fprintf(use_stdin ? stderr : stdout,
@@ -781,13 +477,10 @@ int main(int argc, char** argv) {
     if (merge_poll_ms > 0) {
       daemon_options.poll_interval_seconds = merge_poll_ms / 1e3;
     }
-    wwt::WwtService* raw_service = service->get();
-    const std::string out = merge_out;
-    const int shards = merge_shards;
     merge_daemon = std::make_unique<wwt::fresh::MergeDaemon>(
         daemon_delta.get(), merge_pool.get(),
-        [raw_service, out, shards] {
-          return raw_service->MergeDeltaToSet(out, shards);
+        [raw = service->get(), merge_out, merge_shards] {
+          return raw->MergeDeltaToSet(merge_out, merge_shards);
         },
         daemon_options);
     if (!json) {
@@ -863,13 +556,13 @@ int main(int argc, char** argv) {
                   "\"last_error\": \"%s\"}",
                   s > 0 ? ", " : "",
                   static_cast<unsigned long long>(w.shard_hash),
-                  JsonEscape(w.endpoints).c_str(),
+                  wwt::JsonEscape(w.endpoints).c_str(),
                   static_cast<unsigned long long>(w.probes),
                   static_cast<unsigned long long>(w.failures),
                   static_cast<unsigned long long>(w.hedges),
                   static_cast<unsigned long long>(w.reconnects),
                   w.healthy ? "true" : "false",
-                  JsonEscape(w.last_error).c_str());
+                  wwt::JsonEscape(w.last_error).c_str());
     }
     std::printf("]}\n");
   };
@@ -882,19 +575,17 @@ int main(int argc, char** argv) {
   };
 
   // ---- Line-protocol streaming: the reader submits each stdin line as
-  // it arrives; the printer thread drains responses in input order and
-  // flushes one line each. The bounded pipeline is what makes
+  // it arrives; the ResponseStream prints the answers in input order,
+  // one flushed line each. Its bounded window is what makes
   // --deadline-ms real: a producer faster than the pool builds an
   // actual queue, and stragglers expire in it.
   if (use_stdin) {
     // SIGHUP = atomic snapshot reload (the operator re-indexed on
     // disk). No SA_RESTART: the signal must interrupt the blocking
     // getline so a reload happens even while idle between lines.
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
+    struct sigaction sa = {};
     sa.sa_handler = HandleSighup;
     sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;
     sigaction(SIGHUP, &sa, nullptr);
 
     auto reload_snapshot = [&] {
@@ -923,51 +614,20 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(now.corpus_hash));
     };
 
-    wwt::Mutex mu;
-    wwt::CondVar cv;
-    std::deque<std::future<wwt::QueryResponse>> pending;
-    bool input_done = false;
-    // Printer-owned until join. Deadline expiries are configured load
-    // shedding (--deadline-ms), not service failure: counted apart so
-    // they don't flip the exit code.
-    size_t served = 0, failed = 0, expired = 0, cache_hits = 0;
-    const size_t window =
-        static_cast<size_t>(std::max(4, 2 * (*service)->num_threads()));
-
-    std::thread printer([&] {
-      for (;;) {
-        std::future<wwt::QueryResponse> next;
-        {
-          wwt::MutexLock lock(mu);
-          while (!input_done && pending.empty()) cv.Wait(mu);
-          if (pending.empty()) return;  // input_done and drained
-          next = std::move(pending.front());
-          pending.pop_front();
-        }
-        cv.NotifyAll();  // reader may be waiting for window space
-        wwt::QueryResponse response = next.get();
-        if (response.ok()) {
-          ++served;
-          cache_hits += response.served_from_cache;
-        } else if (response.status.IsDeadlineExceeded()) {
-          ++expired;
-        } else {
-          ++failed;
-        }
-        if (json) {
-          PrintJsonResponse(response, /*max_rows=*/quiet ? 0 : 10);
-        } else if (quiet) {
-          std::printf(
-              "%s%s\n", response.ok() ? "ok " : "error ",
-              response.ok()
-                  ? std::to_string(response.answer.rows.size()).c_str()
-                  : response.status.ToString().c_str());
-        } else {
-          PrintTextResponse(response);
-        }
-        std::fflush(stdout);
-      }
-    });
+    wwt::ResponseStream stream(
+        wwt::ResponseStream::WindowFor((*service)->num_threads()),
+        [&](const wwt::QueryResponse& response) {
+          if (json) {
+            PrintJsonResponse(response, /*max_rows=*/quiet ? 0 : 10);
+          } else if (quiet && response.ok()) {
+            std::printf("ok %zu\n", response.answer.rows.size());
+          } else if (quiet) {
+            std::printf("error %s\n", response.status.ToString().c_str());
+          } else {
+            PrintTextResponse(response);
+          }
+          std::fflush(stdout);
+        });
 
     std::string line;
     for (;;) {
@@ -987,29 +647,17 @@ int main(int argc, char** argv) {
         }
         break;
       }
-      std::vector<std::string> cols = SplitColumns(line);
+      std::vector<std::string> cols = QueryColumns(line);
       if (cols.empty()) continue;
-      std::future<wwt::QueryResponse> future =
-          (*service)->Submit(make_request(std::move(cols), line));
-      {
-        wwt::MutexLock lock(mu);
-        while (pending.size() >= window) cv.Wait(mu);
-        pending.push_back(std::move(future));
-      }
-      cv.NotifyAll();
+      stream.Push((*service)->Submit(make_request(std::move(cols), line)));
     }
-    {
-      wwt::MutexLock lock(mu);
-      input_done = true;
-    }
-    cv.NotifyAll();
-    printer.join();
+    const wwt::ResponseStream::Counts counts = stream.Finish();
 
     // The summary is diagnostics, not a success banner: it prints
     // before EVERY exit, so a failed run still reports what it served
     // up to that point.
     std::fprintf(stderr, "served %zu queries, %zu expired, %zu from cache\n",
-                 served, expired, cache_hits);
+                 counts.served, counts.expired, counts.from_cache);
     const wwt::ServiceStats end_stats = (*service)->Stats();
     if (end_stats.freshness_enabled) {
       std::fprintf(stderr,
@@ -1037,9 +685,10 @@ int main(int argc, char** argv) {
     // fails the run with a one-line stderr diagnostic. Deadline
     // expiries alone keep exit 0 — they are the shedding the operator
     // asked for, visible per-line and in the summary.
-    if (failed > 0) {
-      return Fail(std::to_string(failed) + " of " +
-                  std::to_string(served + failed + expired) +
+    if (counts.failed > 0) {
+      return Fail(std::to_string(counts.failed) + " of " +
+                  std::to_string(counts.served + counts.failed +
+                                 counts.expired) +
                   " queries failed");
     }
     return 0;
@@ -1052,7 +701,7 @@ int main(int argc, char** argv) {
     if (!in) return Fail("cannot read queries file '" + queries_path + "'");
     std::string line;
     while (std::getline(in, line)) {
-      std::vector<std::string> cols = SplitColumns(line);
+      std::vector<std::string> cols = QueryColumns(line);
       if (cols.empty()) continue;
       requests.push_back(make_request(std::move(cols), line));
     }
@@ -1125,7 +774,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(cs.coalesced),
         static_cast<unsigned long long>(cs.inserts),
         static_cast<unsigned long long>(cs.evictions), cs.entries,
-        cs.bytes, JsonEscape(ss.corpus_source).c_str(),
+        cs.bytes, wwt::JsonEscape(ss.corpus_source).c_str(),
         static_cast<unsigned long long>(ss.corpus_hash),
         ss.corpus_shards,
         static_cast<unsigned long long>(ss.corpus_tables),

@@ -30,13 +30,12 @@
 #include <signal.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "index/corpus_set.h"
 #include "net/shard_server.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace {
@@ -78,9 +77,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--chaos-delay-ms") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      char* end = nullptr;
-      chaos_delay_ms = std::strtod(v, &end);
-      if (end == v || *end != '\0' || chaos_delay_ms < 0) {
+      // Read whole and range-checked; the cap keeps the delay a valid
+      // clock duration.
+      if (!wwt::ParseDouble(v, 0, 1e9, &chaos_delay_ms)) {
         return Fail(std::string("--chaos-delay-ms wants a non-negative "
                                 "number of milliseconds, got '") +
                     v + "'");
