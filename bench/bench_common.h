@@ -4,16 +4,20 @@
 // construction and the mapping functions of every compared method.
 // Environment knobs (so `for b in build/bench/*; do $b; done` stays fast
 // but scale is adjustable):
-//   WWT_SCALE      — corpus scale factor (default 0.5)
+//   WWT_SCALE      — corpus scale factor in (0, 1000] (default 0.5)
 //   WWT_SEED       — corpus seed (default 42)
 //   WWT_SNAPSHOT   — when set, BuildExperiment build-or-loads the corpus
 //                    through the snapshot at this path (CI caches it)
 //   WWT_BENCH_JSON — when set, benches that support it write a JSON
 //                    summary to this path (the CI perf trajectory)
+// An unset or empty knob means its default; a malformed or out-of-range
+// one exits 1 with one "bench: WWT_X wants ..., got '...'" line.
 
 #ifndef WWT_BENCH_BENCH_COMMON_H_
 #define WWT_BENCH_BENCH_COMMON_H_
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -24,24 +28,54 @@
 #include "eval/harness.h"
 #include "eval/trainer.h"
 #include "index/snapshot.h"
+#include "util/string_util.h"
 
 namespace wwt::bench {
 
-inline double EnvScale() {
-  const char* s = std::getenv("WWT_SCALE");
-  return s != nullptr ? std::atof(s) : 0.5;
+/// Prints "bench: NAME wants WANTS, got 'VALUE'" and exits 1.
+[[noreturn]] inline void BadEnv(const char* name, const std::string& wants,
+                                const char* value) {
+  std::fprintf(stderr, "bench: %s wants %s, got '%s'\n", name,
+               wants.c_str(), value);
+  std::exit(1);
 }
 
-inline uint64_t EnvSeed() {
-  const char* s = std::getenv("WWT_SEED");
-  return s != nullptr ? std::strtoull(s, nullptr, 10) : 42;
-}
-
-/// Integer knob with a floor of 1 (0 / garbage fall back to `fallback`).
-inline int EnvInt(const char* name, int fallback) {
+/// The value of knob `name`; nullptr when it is unset or empty.
+inline const char* EnvValue(const char* name) {
   const char* s = std::getenv(name);
-  const int v = s != nullptr ? std::atoi(s) : fallback;
-  return v >= 1 ? v : fallback;
+  return s != nullptr && *s != '\0' ? s : nullptr;
+}
+
+/// Integer knob in [min, max]: unset or empty means `fallback`; any
+/// other value that is not a whole number in range exits 1.
+inline uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t min,
+                        uint64_t max) {
+  const char* s = EnvValue(name);
+  uint64_t v = fallback;
+  if (s != nullptr && !ParseUint(s, min, max, &v)) {
+    BadEnv(name,
+           "an integer in [" + std::to_string(min) + ", " +
+               std::to_string(max) + "]",
+           s);
+  }
+  return v;
+}
+
+/// Corpus scale in (0, 1000], as `wwt_indexer --scale` takes it.
+inline double EnvScale() {
+  const char* s = EnvValue("WWT_SCALE");
+  double scale = 0.5;
+  if (s != nullptr && !ParseDouble(s, kMinPositive, 1000, &scale)) {
+    BadEnv("WWT_SCALE", "a corpus scale in (0, 1000]", s);
+  }
+  return scale;
+}
+
+inline uint64_t EnvSeed() { return EnvUint("WWT_SEED", 42, 0, UINT64_MAX); }
+
+/// Integer knob in [min, INT_MAX].
+inline int EnvInt(const char* name, int fallback, int min = 1) {
+  return static_cast<int>(EnvUint(name, fallback, min, INT_MAX));
 }
 
 /// WWT_THREADS — batch concurrency of the runtime benches (default 1
@@ -53,12 +87,10 @@ inline int EnvThreads() { return EnvInt("WWT_THREADS", 1); }
 /// way; benches stamp the choice into their output so recorded
 /// trajectories identify which scorer produced them.
 inline ProbeScorer EnvScorer() {
-  const char* s = std::getenv("WWT_SCORER");
+  const char* s = EnvValue("WWT_SCORER");
   ProbeScorer scorer = ProbeScorer::kWand;
-  if (s != nullptr && *s != '\0' && !ParseProbeScorer(s, &scorer)) {
-    std::fprintf(stderr, "[bench] unknown WWT_SCORER '%s', using wand\n",
-                 s);
-    scorer = ProbeScorer::kWand;
+  if (s != nullptr && !ParseProbeScorer(s, &scorer)) {
+    BadEnv("WWT_SCORER", "'wand' or 'exhaustive'", s);
   }
   return scorer;
 }
@@ -81,6 +113,8 @@ struct Experiment {
 inline Experiment BuildExperiment(double scale = EnvScale(),
                                   uint64_t seed = EnvSeed()) {
   Experiment e;
+  EngineOptions engine_options;
+  engine_options.scorer = EnvScorer();
   CorpusOptions options;
   options.seed = seed;
   options.scale = scale;
@@ -101,8 +135,6 @@ inline Experiment BuildExperiment(double scale = EnvScale(),
                  result.loaded ? "loaded" : "built", snapshot.c_str(),
                  result.seconds);
   }
-  EngineOptions engine_options;
-  engine_options.scorer = EnvScorer();
   e.harness = std::make_unique<EvalHarness>(&e.corpus, engine_options);
   e.cases = e.harness->BuildCases();
   std::fprintf(stderr, "[bench] %zu tables, %zu queries\n",

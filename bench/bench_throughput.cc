@@ -80,7 +80,7 @@ int main() {
     load_seconds = result.seconds;
     // Re-measuring the rebuild would pay the exact cost the snapshot
     // exists to avoid, so it is opt-in (CI's bench job opts in).
-    if (EnvInt("WWT_MEASURE_COLD_START", 0) == 1) {
+    if (EnvInt("WWT_MEASURE_COLD_START", 0, 0) == 1) {
       std::fprintf(stderr,
                    "[bench] loaded snapshot in %.3f s; timing a fresh "
                    "rebuild for the cold-start ratio\n",

@@ -13,17 +13,14 @@ using namespace wwt;
 using namespace wwt::bench;
 
 int main() {
-  const char* seed_env = std::getenv("WWT_TRAIN_SEED");
-  uint64_t seed = seed_env ? std::strtoull(seed_env, nullptr, 10) : 7;
+  const uint64_t seed = EnvUint("WWT_TRAIN_SEED", 7, 0, UINT64_MAX);
+  const size_t cap = EnvUint("WWT_TRAIN_QUERIES", 24, 0, SIZE_MAX);
   Experiment e = BuildExperiment(EnvScale(), seed);
   const TableIndex* index = e.corpus.index.get();
 
   std::vector<EvalCase> cases = std::move(e.cases);
   // Default to a 24-query training budget so the full bench sweep stays
   // fast; set WWT_TRAIN_QUERIES to widen (e.g. 59 for the full workload).
-  const char* cap_env = std::getenv("WWT_TRAIN_QUERIES");
-  size_t cap = cap_env != nullptr ? std::strtoull(cap_env, nullptr, 10)
-                                  : 24;
   if (cases.size() > cap) cases.resize(cap);
 
   std::printf("=== Training on seed %llu, %zu queries ===\n",

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "util/hash.h"
@@ -14,6 +15,16 @@
 
 namespace wwt {
 namespace fresh {
+
+struct DeltaRecord {
+  uint64_t seq = 0;
+  DeltaOpKind kind = DeltaOpKind::kAdd;
+  TableId id = 0;
+  /// Set for kAdd/kUpdate.
+  WebTable table;
+  /// Set for kOverride.
+  SummaryOverride patch;
+};
 
 namespace {
 
@@ -155,16 +166,7 @@ StatusOr<ParsedJournal> ParseJournalFile(const std::string& path) {
   return out;
 }
 
-/// Decoded record facts shared by replay and inspect.
-struct DecodedRecord {
-  uint64_t seq = 0;
-  DeltaOpKind kind = DeltaOpKind::kAdd;
-  TableId id = 0;
-  WebTable table;
-  SummaryOverride patch;
-};
-
-Status DecodeRecordBody(std::string_view body, DecodedRecord* rec) {
+Status DecodeRecordBody(std::string_view body, DeltaRecord* rec) {
   serde::Reader r(body);
   WWT_RETURN_NOT_OK(r.ReadU64(&rec->seq));
   uint8_t kind;
@@ -178,6 +180,11 @@ Status DecodeRecordBody(std::string_view body, DecodedRecord* rec) {
   rec->kind = static_cast<DeltaOpKind>(kind);
   uint64_t id;
   WWT_RETURN_NOT_OK(r.ReadU64(&id));
+  if (id > std::numeric_limits<TableId>::max()) {
+    return Status::Corruption("delta record ", rec->seq, " names table id ",
+                              id, ", above the largest table id ",
+                              std::numeric_limits<TableId>::max());
+  }
   rec->id = static_cast<TableId>(id);
   switch (rec->kind) {
     case DeltaOpKind::kAdd:
@@ -199,6 +206,25 @@ Status DecodeRecordBody(std::string_view body, DecodedRecord* rec) {
                               r.remaining(), " trailing bytes");
   }
   return Status::OK();
+}
+
+std::string EncodeRecordBody(const DeltaRecord& rec) {
+  serde::Writer w;
+  w.WriteU64(rec.seq);
+  w.WriteU8(static_cast<uint8_t>(rec.kind));
+  w.WriteU64(rec.id);
+  switch (rec.kind) {
+    case DeltaOpKind::kAdd:
+    case DeltaOpKind::kUpdate:
+      w.WriteString(SerializeTable(rec.table));
+      break;
+    case DeltaOpKind::kOverride:
+      EncodeOverride(rec.patch, &w);
+      break;
+    case DeltaOpKind::kTombstone:
+      break;
+  }
+  return w.TakeBuffer();
 }
 
 /// Pads/truncates every row to num_cols (deriving num_cols from the
@@ -273,8 +299,8 @@ StatusOr<WebTable> ReadFrozenTable(const CorpusSet& base, TableId id) {
 }
 
 StatusOr<WebTable> DeltaView::Read(TableId id) const {
-  auto it = tables_.find(id);
-  if (it == tables_.end()) {
+  auto it = content_.tables.find(id);
+  if (it == content_.tables.end()) {
     return Status::NotFound("table ", id, " is not in the delta");
   }
   return it->second;
@@ -301,7 +327,7 @@ StatusOr<DeltaJournalInfo> InspectDeltaJournal(const std::string& path) {
   std::set<TableId> live;
   std::set<TableId> tombstoned;
   for (const std::string& body : parsed.bodies) {
-    DecodedRecord rec;
+    DeltaRecord rec;
     WWT_RETURN_NOT_OK(DecodeRecordBody(body, &rec));
     info.generation = rec.seq;
     ++info.num_records;
@@ -334,8 +360,9 @@ StatusOr<std::unique_ptr<DeltaShard>> DeltaShard::Open(
   d->base_ = std::move(base);
   d->journal_path_ = std::move(options.journal_path);
   const TableId base_end = BaseEndId(*d->base_);
-  d->next_id_ = base_end;
 
+  std::vector<Entry> log;
+  bool torn = false;
   if (!d->journal_path_.empty()) {
     std::FILE* existing = std::fopen(d->journal_path_.c_str(), "rb");
     if (existing != nullptr) {
@@ -354,34 +381,11 @@ StatusOr<std::unique_ptr<DeltaShard>> DeltaShard::Open(
             "delta journal '", d->journal_path_, "' expects ",
             parsed.base_end_id, " frozen tables, base set has ", base_end);
       }
-      uint64_t last_seq = 0;
-      for (const std::string& body : parsed.bodies) {
-        DecodedRecord rec;
-        WWT_RETURN_NOT_OK(DecodeRecordBody(body, &rec));
-        if (rec.seq <= last_seq) {
-          return Status::Corruption("delta journal '", d->journal_path_,
-                                    "' is out of order: seq ", rec.seq,
-                                    " after ", last_seq);
-        }
-        last_seq = rec.seq;
-        Entry entry;
-        entry.seq = rec.seq;
-        entry.kind = rec.kind;
-        entry.id = rec.id;
-        entry.table = std::move(rec.table);
-        entry.patch = std::move(rec.patch);
-        entry.encoded = body;
-        entry.time = std::chrono::steady_clock::now();
-        d->next_id_ = std::max(d->next_id_, entry.id + 1);
-        d->entries_.push_back(std::move(entry));
+      const auto now = std::chrono::steady_clock::now();
+      for (std::string& body : parsed.bodies) {
+        log.push_back({0, std::move(body), now});
       }
-      d->next_seq_ = last_seq + 1;
-      if (parsed.truncated) {
-        WWT_LOG(Warning) << "delta journal '" << d->journal_path_
-                         << "' has a torn tail after seq " << last_seq
-                         << " (crash mid-append?); dropping it";
-        WWT_RETURN_NOT_OK(d->RewriteJournalLocked());
-      }
+      torn = parsed.truncated;
     } else {
       WWT_RETURN_NOT_OK(serde::EnsureParentDir(d->journal_path_));
       WWT_RETURN_NOT_OK(serde::WriteFileAtomic(
@@ -389,7 +393,13 @@ StatusOr<std::unique_ptr<DeltaShard>> DeltaShard::Open(
           EncodeJournalHeader(d->base_->content_hash(), base_end)));
     }
   }
-  d->RebuildViewLocked();
+  WWT_RETURN_NOT_OK(d->ReplayLocked(std::move(log), /*drop_failed=*/false));
+  if (torn) {
+    WWT_LOG(Warning) << "delta journal '" << d->journal_path_
+                     << "' has a torn tail after seq " << d->next_seq_ - 1
+                     << " (crash mid-append?); dropping it";
+    WWT_RETURN_NOT_OK(d->RewriteJournalLocked());
+  }
   return shard;
 }
 
@@ -406,60 +416,167 @@ double DeltaShard::pending_age_seconds() const {
       .count();
 }
 
-Status DeltaShard::ValidateLocked(const Entry& entry) const {
-  const DeltaView& view = *view_;
-  switch (entry.kind) {
+Status DeltaShard::ApplyLocked(DeltaRecord* record,
+                               DeltaView::Content* content) const {
+  DeltaView::Content& c = *content;
+  const TableId id = record->id;
+  switch (record->kind) {
     case DeltaOpKind::kAdd:
-      WWT_CHECK(entry.id == next_id_) << "add must allocate the next id";
-      return Status::OK();
+      WWT_RETURN_NOT_OK(NormalizeTable(&record->table));
+      if (id != c.next_table_id) {
+        return Status::FailedPrecondition("cannot add table ", id,
+                                          ": the next table id is ",
+                                          c.next_table_id);
+      }
+      if (id == std::numeric_limits<TableId>::max()) {
+        return Status::OutOfRange("cannot add table ", id,
+                                  ": no table id is left to allocate");
+      }
+      ++c.next_table_id;
+      break;
     case DeltaOpKind::kUpdate:
-      if (entry.id >= next_id_) {
-        return Status::NotFound("cannot update table ", entry.id,
-                                ": only ", next_id_,
-                                " table ids are allocated");
+      WWT_RETURN_NOT_OK(NormalizeTable(&record->table));
+      if (id >= c.next_table_id) {
+        return Status::NotFound("cannot update table ", id, ": only ",
+                                c.next_table_id, " table ids are allocated");
       }
-      return Status::OK();
+      break;
     case DeltaOpKind::kOverride: {
-      if (entry.id >= next_id_) {
-        return Status::NotFound("cannot override table ", entry.id,
-                                ": only ", next_id_,
-                                " table ids are allocated");
+      if (id >= c.next_table_id) {
+        return Status::NotFound("cannot override table ", id, ": only ",
+                                c.next_table_id, " table ids are allocated");
       }
-      if (view.tombstoned().count(entry.id) != 0) {
-        return Status::FailedPrecondition("cannot override table ",
-                                          entry.id, ": it is tombstoned");
+      if (c.tombstoned.count(id) != 0) {
+        return Status::FailedPrecondition("cannot override table ", id,
+                                          ": it is tombstoned");
       }
-      WebTable current;
-      if (view.Contains(entry.id)) {
-        WWT_ASSIGN_OR_RETURN(current, view.Read(entry.id));
-      } else if (entry.id < view.base_end_id()) {
-        WWT_ASSIGN_OR_RETURN(current, ReadFrozenTable(*base_, entry.id));
+      WebTable patched;
+      auto it = c.tables.find(id);
+      if (it != c.tables.end()) {
+        patched = it->second;
+      } else if (id < c.base_end_id) {
+        WWT_ASSIGN_OR_RETURN(patched, ReadFrozenTable(*base_, id));
       } else {
-        return Status::NotFound("cannot override table ", entry.id,
+        return Status::NotFound("cannot override table ", id,
                                 ": it was tombstoned before ever merging");
       }
-      return ApplySummaryOverride(entry.patch, &current);
+      WWT_RETURN_NOT_OK(ApplySummaryOverride(record->patch, &patched));
+      c.tables[id] = std::move(patched);
+      ++c.num_overrides;
+      break;
     }
     case DeltaOpKind::kTombstone:
-      if (entry.id >= next_id_) {
-        return Status::NotFound("cannot tombstone table ", entry.id,
-                                ": only ", next_id_,
-                                " table ids are allocated");
+      if (id >= c.next_table_id) {
+        return Status::NotFound("cannot tombstone table ", id, ": only ",
+                                c.next_table_id, " table ids are allocated");
       }
-      if (view.tombstoned().count(entry.id) != 0) {
-        return Status::FailedPrecondition("table ", entry.id,
+      if (c.tombstoned.count(id) != 0) {
+        return Status::FailedPrecondition("table ", id,
                                           " is already tombstoned");
       }
-      return Status::OK();
+      c.tables.erase(id);
+      c.tombstoned.insert(id);
+      break;
   }
-  return Status::Internal("unreachable delta op kind");
+  if (record->kind == DeltaOpKind::kAdd ||
+      record->kind == DeltaOpKind::kUpdate) {
+    record->table.id = id;
+    c.tables[id] = record->table;
+    c.tombstoned.erase(id);
+  }
+  if (id < c.base_end_id) c.hidden.insert(id);
+  return Status::OK();
 }
 
-Status DeltaShard::AppendJournalLocked(const Entry& entry) {
+void DeltaShard::LogLocked(Entry entry, DeltaView::Content* content) {
+  uint64_t h = content->num_entries == 0 ? Fnv1a("wwt-delta-view-v1")
+                                         : content->freshness_hash;
+  h = HashCombine(h, entry.seq);
+  content->freshness_hash = HashCombine(h, serde::Checksum(entry.body));
+  content->generation = entry.seq;
+  ++content->num_entries;
+  entries_.push_back(std::move(entry));
+}
+
+Status DeltaShard::ReplayLocked(std::vector<Entry> log, bool drop_failed) {
+  DeltaView::Content content;
+  content.base_end_id = BaseEndId(*base_);
+  content.next_table_id = content.base_end_id;
+  entries_.clear();
+  size_t dropped = 0;
+  for (Entry& entry : log) {
+    DeltaRecord record;
+    Status applied = DecodeRecordBody(entry.body, &record);
+    if (applied.ok() && !entries_.empty() &&
+        record.seq <= entries_.back().seq) {
+      applied = Status::Corruption("it follows seq ", entries_.back().seq);
+    }
+    if (applied.ok()) applied = ApplyLocked(&record, &content);
+    if (applied.ok()) {
+      entry.seq = record.seq;
+      LogLocked(std::move(entry), &content);
+    } else if (drop_failed) {
+      ++dropped;
+      WWT_LOG(Warning) << "delta seq " << record.seq << " (op "
+                       << static_cast<int>(record.kind) << ", table "
+                       << record.id
+                       << ") no longer applies after rebase; dropped: "
+                       << applied.ToString();
+    } else {
+      return Status::Corruption("delta journal '", journal_path_,
+                                "' record seq ", record.seq,
+                                " does not replay: ", applied.ToString());
+    }
+  }
+  if (dropped > 0) {
+    WWT_LOG(Warning) << "rebase dropped " << dropped
+                     << " delta entries that no longer apply";
+  }
+  if (!entries_.empty()) {
+    next_seq_ = std::max(next_seq_, entries_.back().seq + 1);
+  }
+  PublishLocked(std::move(content));
+  return Status::OK();
+}
+
+void DeltaShard::PublishLocked(DeltaView::Content content) {
+  std::shared_ptr<DeltaView> view(new DeltaView());
+  view->base_ = base_;
+  view->content_ = std::move(content);
+  const DeltaView::Content& c = view->content_;
+  if (!c.tables.empty()) {
+    view->index_ = TableIndex::BuildPinned(
+        base_->shard(0).index(), base_->stats().vocab(), base_->stats().idf(),
+        [&c](const auto& add) {
+          for (const auto& entry : c.tables) add(entry.second);
+        });
+  }
+  view->stats_ = std::make_unique<FreshStats>(
+      &base_->stats(), view->index_.get(), &c.hidden,
+      c.next_table_id - c.base_end_id);
+  view_ = std::move(view);
+}
+
+Status DeltaShard::CommitLocked(DeltaRecord record) {
+  record.seq = next_seq_;
+  DeltaView::Content next = view_->content_;
+  WWT_RETURN_NOT_OK(ApplyLocked(&record, &next));
+  Entry entry{record.seq, EncodeRecordBody(record),
+              std::chrono::steady_clock::now()};
+  // Write-ahead: journal first, then publish — an append failure leaves
+  // both sides exactly as they were.
+  WWT_RETURN_NOT_OK(AppendJournalLocked(entry.body));
+  next_seq_ = record.seq + 1;
+  LogLocked(std::move(entry), &next);
+  PublishLocked(std::move(next));
+  return Status::OK();
+}
+
+Status DeltaShard::AppendJournalLocked(const std::string& body) {
   if (journal_path_.empty()) return Status::OK();
   std::ofstream out(journal_path_,
                     std::ios::binary | std::ios::app | std::ios::out);
-  const std::string record = EncodeRecord(entry.encoded);
+  const std::string record = EncodeRecord(body);
   out.write(record.data(), static_cast<std::streamsize>(record.size()));
   out.flush();
   if (!out) {
@@ -474,179 +591,48 @@ Status DeltaShard::RewriteJournalLocked() {
   std::string payload =
       EncodeJournalHeader(base_->content_hash(), BaseEndId(*base_));
   for (const Entry& entry : entries_) {
-    payload += EncodeRecord(entry.encoded);
+    payload += EncodeRecord(entry.body);
   }
   WWT_RETURN_NOT_OK(serde::EnsureParentDir(journal_path_));
   return serde::WriteFileAtomic(journal_path_, payload);
 }
 
-void DeltaShard::RebuildViewLocked() {
-  std::shared_ptr<DeltaView> view(new DeltaView());
-  view->base_ = base_;
-  view->base_end_id_ = BaseEndId(*base_);
-  TableId next = view->base_end_id_;
-
-  for (const Entry& entry : entries_) {
-    next = std::max(next, entry.id + 1);
-    switch (entry.kind) {
-      case DeltaOpKind::kAdd:
-      case DeltaOpKind::kUpdate:
-        view->tables_[entry.id] = entry.table;
-        view->tombstoned_.erase(entry.id);
-        break;
-      case DeltaOpKind::kOverride: {
-        WebTable current;
-        auto it = view->tables_.find(entry.id);
-        if (it != view->tables_.end()) {
-          current = it->second;
-        } else if (entry.id < view->base_end_id_ &&
-                   view->tombstoned_.count(entry.id) == 0) {
-          StatusOr<WebTable> frozen = ReadFrozenTable(*base_, entry.id);
-          if (!frozen.ok()) {
-            WWT_LOG(Warning) << "delta seq " << entry.seq
-                             << ": override of unreadable table "
-                             << entry.id << " skipped: "
-                             << frozen.status().ToString();
-            continue;
-          }
-          current = *std::move(frozen);
-        } else {
-          WWT_LOG(Warning) << "delta seq " << entry.seq
-                           << ": override of missing table " << entry.id
-                           << " skipped";
-          continue;
-        }
-        Status applied = ApplySummaryOverride(entry.patch, &current);
-        if (!applied.ok()) {
-          WWT_LOG(Warning) << "delta seq " << entry.seq << ": "
-                           << applied.ToString();
-          continue;
-        }
-        view->tables_[entry.id] = std::move(current);
-        ++view->num_overrides_;
-        break;
-      }
-      case DeltaOpKind::kTombstone:
-        view->tables_.erase(entry.id);
-        view->tombstoned_.insert(entry.id);
-        break;
-    }
-  }
-  view->next_table_id_ = next;
-  for (const auto& [id, table] : view->tables_) {
-    (void)table;
-    if (id < view->base_end_id_) view->hidden_.insert(id);
-  }
-  for (TableId id : view->tombstoned_) {
-    if (id < view->base_end_id_) view->hidden_.insert(id);
-  }
-
-  if (!view->tables_.empty()) {
-    // The exact seed-add-pin idiom of SnapshotCodec::BuildShard: term
-    // ids extend the base vocabulary in ascending-table-id first-use
-    // order, scores use the pinned base statistics — both identical to
-    // a from-scratch rebuild containing the same tables.
-    const TableIndex& base_index = base_->shard(0).index();
-    view->index_ = std::make_unique<TableIndex>(
-        base_index.options(), base_index.tokenizer().options());
-    view->index_->SeedVocabulary(base_->stats().vocab());
-    for (const auto& [id, table] : view->tables_) {
-      WWT_CHECK(table.id == id) << "delta table id mismatch";
-      view->index_->Add(table);
-    }
-    view->index_->InstallGlobalStats(base_->stats().idf());
-  }
-
-  if (!entries_.empty()) {
-    uint64_t h = Fnv1a("wwt-delta-view-v1");
-    for (const Entry& entry : entries_) {
-      h = HashCombine(h, entry.seq);
-      h = HashCombine(h, serde::Checksum(entry.encoded));
-    }
-    view->freshness_hash_ = h;
-    view->generation_ = entries_.back().seq;
-  }
-  view->num_entries_ = entries_.size();
-  view->stats_ = std::make_unique<FreshStats>(
-      &base_->stats(), view->index_.get(), &view->hidden_,
-      view->next_table_id_ - view->base_end_id_);
-  view_ = std::move(view);
-}
-
-Status DeltaShard::CommitLocked(Entry entry) {
-  WWT_RETURN_NOT_OK(ValidateLocked(entry));
-
-  serde::Writer body;
-  body.WriteU64(entry.seq);
-  body.WriteU8(static_cast<uint8_t>(entry.kind));
-  body.WriteU64(entry.id);
-  switch (entry.kind) {
-    case DeltaOpKind::kAdd:
-    case DeltaOpKind::kUpdate:
-      body.WriteString(SerializeTable(entry.table));
-      break;
-    case DeltaOpKind::kOverride:
-      EncodeOverride(entry.patch, &body);
-      break;
-    case DeltaOpKind::kTombstone:
-      break;
-  }
-  entry.encoded = body.TakeBuffer();
-  entry.time = std::chrono::steady_clock::now();
-
-  // Write-ahead: journal first, then mutate memory — an append failure
-  // leaves both sides exactly as they were.
-  WWT_RETURN_NOT_OK(AppendJournalLocked(entry));
-  next_seq_ = entry.seq + 1;
-  next_id_ = std::max(next_id_, entry.id + 1);
-  entries_.push_back(std::move(entry));
-  RebuildViewLocked();
-  return Status::OK();
-}
-
 StatusOr<TableId> DeltaShard::AddTable(WebTable table) {
-  WWT_RETURN_NOT_OK(NormalizeTable(&table));
   MutexLock lock(mu_);
-  Entry entry;
-  entry.seq = next_seq_;
-  entry.kind = DeltaOpKind::kAdd;
-  entry.id = next_id_;
-  table.id = entry.id;
-  entry.table = std::move(table);
-  const TableId id = entry.id;
-  WWT_RETURN_NOT_OK(CommitLocked(std::move(entry)));
+  DeltaRecord record;
+  record.kind = DeltaOpKind::kAdd;
+  record.id = view_->next_table_id();
+  record.table = std::move(table);
+  const TableId id = record.id;
+  WWT_RETURN_NOT_OK(CommitLocked(std::move(record)));
   return id;
 }
 
 Status DeltaShard::UpdateTable(WebTable table) {
-  WWT_RETURN_NOT_OK(NormalizeTable(&table));
   MutexLock lock(mu_);
-  Entry entry;
-  entry.seq = next_seq_;
-  entry.kind = DeltaOpKind::kUpdate;
-  entry.id = table.id;
-  entry.table = std::move(table);
-  return CommitLocked(std::move(entry));
+  DeltaRecord record;
+  record.kind = DeltaOpKind::kUpdate;
+  record.id = table.id;
+  record.table = std::move(table);
+  return CommitLocked(std::move(record));
 }
 
 Status DeltaShard::OverrideSummary(TableId id,
                                    const SummaryOverride& patch) {
   MutexLock lock(mu_);
-  Entry entry;
-  entry.seq = next_seq_;
-  entry.kind = DeltaOpKind::kOverride;
-  entry.id = id;
-  entry.patch = patch;
-  return CommitLocked(std::move(entry));
+  DeltaRecord record;
+  record.kind = DeltaOpKind::kOverride;
+  record.id = id;
+  record.patch = patch;
+  return CommitLocked(std::move(record));
 }
 
 Status DeltaShard::TombstoneTable(TableId id) {
   MutexLock lock(mu_);
-  Entry entry;
-  entry.seq = next_seq_;
-  entry.kind = DeltaOpKind::kTombstone;
-  entry.id = id;
-  return CommitLocked(std::move(entry));
+  DeltaRecord record;
+  record.kind = DeltaOpKind::kTombstone;
+  record.id = id;
+  return CommitLocked(std::move(record));
 }
 
 Status DeltaShard::Rebase(std::shared_ptr<const CorpusSet> new_base,
@@ -654,83 +640,17 @@ Status DeltaShard::Rebase(std::shared_ptr<const CorpusSet> new_base,
   WWT_CHECK(new_base != nullptr) << "cannot rebase onto a null set";
   MutexLock lock(mu_);
   base_ = std::move(new_base);
-  const TableId base_end = BaseEndId(*base_);
-
-  // Re-validate the surviving entries against the new base by replaying
-  // them: after a merge every survivor applies cleanly (the merged set
-  // ends exactly where the folded delta ended); after an unrelated
-  // operator swap, entries that no longer fit are dropped loudly.
-  std::vector<Entry> kept;
-  std::map<TableId, WebTable> live;
-  std::set<TableId> tombstoned;
-  TableId next = base_end;
-  size_t dropped = 0;
+  // After a merge every survivor applies cleanly (the merged set ends
+  // exactly where the folded delta ended); after an unrelated operator
+  // swap, entries that no longer fit are dropped loudly.
+  std::vector<Entry> survivors;
   for (Entry& entry : entries_) {
-    if (entry.seq <= merged_generation) continue;
-    bool ok = true;
-    switch (entry.kind) {
-      case DeltaOpKind::kAdd:
-        ok = entry.id == next;
-        if (ok) {
-          live[entry.id] = entry.table;
-          tombstoned.erase(entry.id);
-          next = entry.id + 1;
-        }
-        break;
-      case DeltaOpKind::kUpdate:
-        ok = entry.id < next;
-        if (ok) {
-          live[entry.id] = entry.table;
-          tombstoned.erase(entry.id);
-        }
-        break;
-      case DeltaOpKind::kOverride: {
-        ok = entry.id < next && tombstoned.count(entry.id) == 0;
-        if (ok) {
-          WebTable current;
-          auto it = live.find(entry.id);
-          if (it != live.end()) {
-            current = it->second;
-          } else if (entry.id < base_end) {
-            StatusOr<WebTable> frozen = ReadFrozenTable(*base_, entry.id);
-            ok = frozen.ok();
-            if (ok) current = *std::move(frozen);
-          } else {
-            ok = false;
-          }
-          if (ok) ok = ApplySummaryOverride(entry.patch, &current).ok();
-          if (ok) live[entry.id] = std::move(current);
-        }
-        break;
-      }
-      case DeltaOpKind::kTombstone:
-        ok = entry.id < next && tombstoned.count(entry.id) == 0;
-        if (ok) {
-          live.erase(entry.id);
-          tombstoned.insert(entry.id);
-        }
-        break;
-    }
-    if (!ok) {
-      ++dropped;
-      WWT_LOG(Warning) << "delta seq " << entry.seq << " (op "
-                       << static_cast<int>(entry.kind) << ", table "
-                       << entry.id
-                       << ") no longer applies after rebase; dropped";
-      continue;
-    }
-    kept.push_back(std::move(entry));
+    if (entry.seq > merged_generation) survivors.push_back(std::move(entry));
   }
-  if (dropped > 0) {
-    WWT_LOG(Warning) << "rebase dropped " << dropped
-                     << " delta entries that no longer apply";
-  }
-  entries_ = std::move(kept);
-  next_id_ = next;
   // View first: even if the journal rewrite fails (IO), the published
   // view is consistent with the new base — the stale on-disk journal is
   // caught at the next Open by its base-hash check.
-  RebuildViewLocked();
+  WWT_RETURN_NOT_OK(ReplayLocked(std::move(survivors), /*drop_failed=*/true));
   return RewriteJournalLocked();
 }
 

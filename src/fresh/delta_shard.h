@@ -19,9 +19,9 @@
 // The equivalence contract: serving over (frozen + delta) is
 // byte-identical to serving over a from-scratch corpus that contains
 // the same edits and pins the base global statistics. The delta index
-// is built with the exact seed-add-pin idiom the sharding path uses
-// (SeedVocabulary, ascending-id Add loop, InstallGlobalStats), so term
-// ids, IDF weights and per-term score contributions all agree.
+// is built by TableIndex::BuildPinned, the seed-add-pin build the
+// sharding path uses, so term ids, IDF weights and per-term score
+// contributions all agree.
 
 #ifndef WWT_FRESH_DELTA_SHARD_H_
 #define WWT_FRESH_DELTA_SHARD_H_
@@ -103,17 +103,17 @@ class DeltaView : public CorpusOverlay {
   // --- CorpusOverlay (the engine seam).
   const TableIndex* index() const override { return index_.get(); }
   bool Contains(TableId id) const override {
-    return tables_.find(id) != tables_.end();
+    return content_.tables.find(id) != content_.tables.end();
   }
   [[nodiscard]] StatusOr<WebTable> Read(TableId id) const override;
   bool Hides(TableId id) const override {
-    return hidden_.count(id) != 0;
+    return content_.hidden.count(id) != 0;
   }
-  size_t hidden_count() const override { return hidden_.size(); }
+  size_t hidden_count() const override { return content_.hidden.size(); }
 
   /// True when no unmerged mutation exists: serving must behave (and
   /// fingerprint) exactly as if freshness were disabled.
-  bool empty() const { return num_entries_ == 0; }
+  bool empty() const { return content_.num_entries == 0; }
 
   /// The statistics surface a query parses against while this view is
   /// live (pinned global weights, live doc sets — see FreshStats).
@@ -123,11 +123,11 @@ class DeltaView : public CorpusOverlay {
   /// empty(). The service folds it into the corpus component of every
   /// fingerprint/cache key, so a cached response can never outlive the
   /// delta state it was computed over.
-  uint64_t freshness_hash() const { return freshness_hash_; }
+  uint64_t freshness_hash() const { return content_.freshness_hash; }
 
   /// Sequence number of the last applied mutation (0 when empty) — the
   /// delta "generation" a merge folds up to.
-  uint64_t generation() const { return generation_; }
+  uint64_t generation() const { return content_.generation; }
 
   /// Content hash of the base set this view was built against.
   uint64_t base_hash() const { return base_->content_hash(); }
@@ -135,39 +135,48 @@ class DeltaView : public CorpusOverlay {
 
   /// Live delta tables by id (added, updated or patched) — what a merge
   /// folds over the frozen records.
-  const std::map<TableId, WebTable>& tables() const { return tables_; }
+  const std::map<TableId, WebTable>& tables() const { return content_.tables; }
   /// Ids tombstoned as of this view (frozen and delta ids alike); a
   /// merge writes them as empty placeholder records so the contiguous
   /// id space survives.
-  const std::set<TableId>& tombstoned() const { return tombstoned_; }
+  const std::set<TableId>& tombstoned() const { return content_.tombstoned; }
 
   /// One past the highest allocated table id (>= the base end id).
-  TableId next_table_id() const { return next_table_id_; }
+  TableId next_table_id() const { return content_.next_table_id; }
   /// One past the last frozen id.
-  TableId base_end_id() const { return base_end_id_; }
+  TableId base_end_id() const { return content_.base_end_id; }
 
-  size_t num_entries() const { return num_entries_; }
-  size_t num_tables() const { return tables_.size(); }
-  size_t num_overrides() const { return num_overrides_; }
-  size_t num_tombstones() const { return tombstoned_.size(); }
+  size_t num_entries() const { return content_.num_entries; }
+  size_t num_tables() const { return content_.tables.size(); }
+  size_t num_overrides() const { return content_.num_overrides; }
+  size_t num_tombstones() const { return content_.tombstoned.size(); }
 
  private:
   friend class DeltaShard;
+
+  /// Everything a mutation changes. A live mutation copies the last
+  /// view's content and applies itself to the copy; the index and the
+  /// statistics are then built over the result.
+  struct Content {
+    std::map<TableId, WebTable> tables;
+    std::set<TableId> tombstoned;
+    /// The frozen ids among tables and tombstoned.
+    std::unordered_set<TableId> hidden;
+    TableId base_end_id = 0;
+    TableId next_table_id = 0;
+    size_t num_entries = 0;
+    size_t num_overrides = 0;
+    uint64_t freshness_hash = 0;
+    uint64_t generation = 0;
+  };
+
   DeltaView() = default;
 
   std::shared_ptr<const CorpusSet> base_;
-  /// Seeded/pinned index over tables_ (null when tables_ is empty).
+  Content content_;
+  /// Seeded/pinned index over content_.tables (null when it is empty).
   std::unique_ptr<TableIndex> index_;
-  std::map<TableId, WebTable> tables_;
-  std::unordered_set<TableId> hidden_;
-  std::set<TableId> tombstoned_;
   std::unique_ptr<FreshStats> stats_;
-  uint64_t freshness_hash_ = 0;
-  uint64_t generation_ = 0;
-  TableId base_end_id_ = 0;
-  TableId next_table_id_ = 0;
-  size_t num_entries_ = 0;
-  size_t num_overrides_ = 0;
 };
 
 /// Journal facts InspectDeltaJournal reads without a base corpus (the
@@ -208,6 +217,9 @@ struct DeltaOptions {
   std::string journal_path;
 };
 
+/// One mutation as a journal record holds it (defined in delta_shard.cc).
+struct DeltaRecord;
+
 /// The mutable freshness writer. Thread-safe: every public method takes
 /// the internal mutex; readers never do — they capture the immutable
 /// DeltaView once per serving. Mutations are write-ahead: the journal
@@ -216,8 +228,12 @@ struct DeltaOptions {
 class DeltaShard {
  public:
   /// Opens a delta over `base`, replaying `options.journal_path` when
-  /// it exists (InvalidArgument when the journal's base hash does not
-  /// match, Corruption on a damaged record body).
+  /// it exists. InvalidArgument when the journal's base hash or frozen
+  /// table count does not match the base. Every record is checked
+  /// exactly as the live mutation it records was; one that is garbled,
+  /// out of order, names a table id above 0xFFFFFFFF or fails those
+  /// checks is Corruption naming its seq, and leaves the file as it
+  /// was. A torn tail is dropped with a warning and the file rewritten.
   [[nodiscard]] static StatusOr<std::unique_ptr<DeltaShard>> Open(
       std::shared_ptr<const CorpusSet> base, DeltaOptions options = {});
 
@@ -263,17 +279,10 @@ class DeltaShard {
   double pending_age_seconds() const WWT_EXCLUDES(mu_);
 
  private:
+  /// One applied mutation, kept once: as its journal record body.
   struct Entry {
     uint64_t seq = 0;
-    DeltaOpKind kind = DeltaOpKind::kAdd;
-    TableId id = 0;
-    /// Set for kAdd/kUpdate.
-    WebTable table;
-    /// Set for kOverride.
-    SummaryOverride patch;
-    /// The encoded journal record body (seq/kind/id/payload) — reused
-    /// for the freshness hash and journal rewrites.
-    std::string encoded;
+    std::string body;
     /// Runtime-only: when the mutation was applied in this process
     /// (journal replay stamps the open time).
     std::chrono::steady_clock::time_point time;
@@ -281,24 +290,38 @@ class DeltaShard {
 
   DeltaShard() = default;
 
-  /// Validates `entry` against the current view; OK means applying it
-  /// will succeed.
-  Status ValidateLocked(const Entry& entry) const WWT_REQUIRES(mu_);
-  /// Appends the record to the journal (no-op when journaling is off).
-  Status AppendJournalLocked(const Entry& entry) WWT_REQUIRES(mu_);
+  /// The one definition of what a mutation may do: checks `record`
+  /// against `content` and base_ with the rules and Status codes of the
+  /// live API, and applies it when they pass. Live mutations, journal
+  /// replay and rebase all come through here. `content` is unchanged on
+  /// error; an added or updated table is normalized in `record`.
+  Status ApplyLocked(DeltaRecord* record, DeltaView::Content* content) const
+      WWT_REQUIRES(mu_);
+  /// Logs an applied mutation: appends it to entries_ and folds it into
+  /// `content`'s freshness hash.
+  void LogLocked(Entry entry, DeltaView::Content* content)
+      WWT_REQUIRES(mu_);
+  /// Decodes and applies `log` in order over an empty delta on base_,
+  /// then publishes the result as entries_ and view_. A record that
+  /// fails is Corruption naming its seq (Open), or with `drop_failed`
+  /// is dropped with a warning (Rebase).
+  Status ReplayLocked(std::vector<Entry> log, bool drop_failed)
+      WWT_REQUIRES(mu_);
+  /// Builds the index and statistics over `content` and publishes it.
+  void PublishLocked(DeltaView::Content content) WWT_REQUIRES(mu_);
+  /// The live mutation path: applies `record` to a copy of the current
+  /// content, appends it to the journal, then publishes the copy.
+  Status CommitLocked(DeltaRecord record) WWT_REQUIRES(mu_);
+  /// Appends a record to the journal (no-op when journaling is off).
+  Status AppendJournalLocked(const std::string& body) WWT_REQUIRES(mu_);
   /// Rewrites the whole journal from entries_ (rebase, torn tail).
   Status RewriteJournalLocked() WWT_REQUIRES(mu_);
-  /// Rebuilds and publishes the view from base_ + entries_.
-  void RebuildViewLocked() WWT_REQUIRES(mu_);
-  /// Validate + journal + apply + republish, the shared mutation tail.
-  Status CommitLocked(Entry entry) WWT_REQUIRES(mu_);
 
   mutable Mutex mu_;
   std::shared_ptr<const CorpusSet> base_ WWT_GUARDED_BY(mu_);
   std::vector<Entry> entries_ WWT_GUARDED_BY(mu_);
   std::shared_ptr<const DeltaView> view_ WWT_GUARDED_BY(mu_);
   uint64_t next_seq_ WWT_GUARDED_BY(mu_) = 1;
-  TableId next_id_ WWT_GUARDED_BY(mu_) = 0;
   std::string journal_path_;
 };
 

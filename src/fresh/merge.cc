@@ -34,20 +34,19 @@ StatusOr<Corpus> FoldDelta(const DeltaView& view) {
                               << " != " << id;
   }
 
-  // Seed-add-pin, the same idiom as the serving delta index and the
-  // sharding partitioner: frozen terms resolve to their existing ids,
-  // fresh terms extend the vocabulary in the same ascending-table-id
-  // first-use order the serving overlay used, and the global IDF
-  // statistics stay pinned to the base build.
-  const TableIndex& base_index = base.shard(0).index();
-  merged.index = std::make_unique<TableIndex>(
-      base_index.options(), base_index.tokenizer().options());
-  merged.index->SeedVocabulary(base.stats().vocab());
-  for (TableId id = 0; id < end; ++id) {
-    WWT_ASSIGN_OR_RETURN(WebTable table, merged.store.Get(id));
-    merged.index->Add(table);
-  }
-  merged.index->InstallGlobalStats(base.stats().idf());
+  // Fresh terms extend the vocabulary in the same ascending-table-id
+  // first-use order the serving overlay used.
+  Status read = Status::OK();
+  merged.index = TableIndex::BuildPinned(
+      base.shard(0).index(), base.stats().vocab(), base.stats().idf(),
+      [&](const auto& add) {
+        for (TableId id = 0; id < end && read.ok(); ++id) {
+          StatusOr<WebTable> table = merged.store.Get(id);
+          read = table.status();
+          if (read.ok()) add(*table);
+        }
+      });
+  WWT_RETURN_NOT_OK(read);
 
   // Ground truth survives for every id still serving its provenance;
   // tombstoned ids drop theirs. Delta-added tables have none (operator

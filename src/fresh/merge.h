@@ -41,9 +41,9 @@ namespace fresh {
 ///    with it every other table's global id — survives),
 ///  * every other id is the frozen record, byte-for-byte.
 ///
-/// The index pins the base global statistics (SeedVocabulary /
-/// ascending-id Add / InstallGlobalStats), so term ids, IDF weights and
-/// scores all equal the live overlay's. FailedPrecondition when the
+/// The index pins the base global statistics (TableIndex::BuildPinned,
+/// as the live overlay's is built), so term ids, IDF weights and scores
+/// all equal the live overlay's. FailedPrecondition when the
 /// base set does not start at id 0 (a folded corpus always does).
 [[nodiscard]] StatusOr<Corpus> FoldDelta(const DeltaView& view);
 

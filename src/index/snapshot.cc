@@ -139,22 +139,16 @@ class SnapshotCodec {
     shard.store.first_id_ = begin;
 
     const TableIndex& full_index = *full.index;
-    shard.index = std::make_unique<TableIndex>(
-        full_index.options(), full_index.tokenizer().options());
-    // Pre-seeding the global vocabulary makes every Add() intern to the
-    // same term ids as the full index; the local IDF counts accumulated
-    // by Add() are then replaced by the global statistics. (The same
-    // seed-add-pin idiom builds the freshness delta index and the merged
-    // corpus — src/fresh/.)
-    shard.index->SeedVocabulary(full_index.vocab());
-    for (TableId id = begin; id < end; ++id) {
-      StatusOr<WebTable> table = shard.store.Get(id);
-      WWT_CHECK(table.ok()) << "unreadable table " << id
-                            << " while sharding: "
-                            << table.status().ToString();
-      shard.index->Add(*table);
-    }
-    shard.index->InstallGlobalStats(full_index.idf());
+    shard.index = TableIndex::BuildPinned(
+        full_index, full_index.vocab(), full_index.idf(), [&](const auto& add) {
+          for (TableId id = begin; id < end; ++id) {
+            StatusOr<WebTable> table = shard.store.Get(id);
+            WWT_CHECK(table.ok()) << "unreadable table " << id
+                                  << " while sharding: "
+                                  << table.status().ToString();
+            add(*table);
+          }
+        });
 
     for (const auto& [id, truth] : full.truth) {
       if (id >= begin && id < end) shard.truth.emplace(id, truth);

@@ -156,9 +156,24 @@ std::vector<TermId> TableIndex::QueryTerms(
   return out;
 }
 
+std::unique_ptr<TableIndex> TableIndex::BuildPinned(const TableIndex& like,
+                                                    const Vocabulary& vocab,
+                                                    const IdfDictionary& idf,
+                                                    const TableFeed& tables) {
+  auto index = std::make_unique<TableIndex>(like.options(),
+                                            like.tokenizer().options());
+  index->SeedVocabulary(vocab);
+  tables([&index](const WebTable& table) { index->Add(table); });
+  index->InstallGlobalStats(idf);
+  return index;
+}
+
 void TableIndex::Add(const WebTable& table) {
   WWT_CHECK(heap_ != nullptr) << "mapped TableIndex is immutable";
   const TableId doc = table.id;
+  // lens[doc] below needs doc + 1 to fit in a TableId.
+  WWT_CHECK(doc < std::numeric_limits<TableId>::max())
+      << "table id " << doc << " is out of range";
 
   std::string header_text;
   for (const std::string& title : table.title_rows) {

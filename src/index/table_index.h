@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -208,9 +209,25 @@ class TableIndex : public CorpusStats {
   explicit TableIndex(IndexOptions options = {},
                       TokenizerOptions tokenizer_options = {});
 
-  /// Indexes a table under table.id. Title rows are indexed as header
-  /// text (they describe the table, not a specific column, but the paper
-  /// treats title as a header-adjacent part).
+  /// Hands each table to the callback it is given, in ascending id order.
+  using TableFeed =
+      std::function<void(const std::function<void(const WebTable&)>&)>;
+
+  /// The seed-add-pin build behind every derived index (a shard of a
+  /// set, a freshness delta, a merged set): an index with `like`'s
+  /// options, seeded with `vocab`, holding every table `tables` feeds,
+  /// then pinned to `idf`. Its term ids, IDF weights and per-term scores
+  /// equal those of the corpus `vocab` and `idf` came from — see
+  /// docs/SHARDING.md and docs/FRESHNESS.md.
+  static std::unique_ptr<TableIndex> BuildPinned(const TableIndex& like,
+                                                 const Vocabulary& vocab,
+                                                 const IdfDictionary& idf,
+                                                 const TableFeed& tables);
+
+  /// Indexes a table under table.id, which must be below the TableId
+  /// maximum. Title rows are indexed as header text (they describe the
+  /// table, not a specific column, but the paper treats title as a
+  /// header-adjacent part).
   void Add(const WebTable& table);
 
   /// Pre-seeds the vocabulary with a copy of `vocab` (build mode, before

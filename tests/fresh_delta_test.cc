@@ -12,7 +12,9 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "corpus/corpus_generator.h"
 #include "fresh/delta_shard.h"
 #include "index/corpus_set.h"
+#include "util/serde.h"
 #include "wwt/api.h"
 #include "wwt/engine.h"
 
@@ -414,6 +417,312 @@ TEST_F(FreshDeltaTest, NormalizationAndValidation) {
   EXPECT_EQ(stored.body[0].size(), 3u);
   // A table with no columns at all is rejected.
   EXPECT_FALSE(delta->AddTable(WebTable{}).ok());
+}
+
+
+// ---- Hostile journals. Every record below carries a valid checksum, so
+// only replay's checks stand between it and the served view: the checks
+// the live mutation it claims to record would have passed.
+
+constexpr uint8_t kAddKind = 1;
+constexpr uint8_t kUpdateKind = 2;
+constexpr uint8_t kOverrideKind = 3;
+constexpr uint8_t kTombstoneKind = 4;
+
+/// One journal record as written, before framing.
+struct Forged {
+  uint64_t seq = 0;
+  uint8_t kind = 0;
+  uint64_t id = 0;
+  /// The bytes after the id: a table blob, a patch, or nothing.
+  std::string payload;
+};
+
+std::string TablePayload(const WebTable& table) {
+  serde::Writer w;
+  w.WriteString(SerializeTable(table));
+  return w.TakeBuffer();
+}
+
+std::string PatchPayload(const SummaryOverride& patch) {
+  serde::Writer w;
+  w.WriteU8(patch.title.has_value() ? 1 : 0);
+  if (patch.title.has_value()) w.WriteString(*patch.title);
+  for (const auto* cells : {&patch.header_cells, &patch.body_cells}) {
+    w.WriteU32(static_cast<uint32_t>(cells->size()));
+    for (const SummaryOverride::CellEdit& e : *cells) {
+      w.WriteU32(e.row);
+      w.WriteU32(e.col);
+      w.WriteString(e.text);
+    }
+  }
+  w.WriteU8(patch.context.has_value() ? 1 : 0);
+  if (patch.context.has_value()) w.WriteString(*patch.context);
+  return w.TakeBuffer();
+}
+
+/// A journal over `set` holding `records`, each framed and checksummed
+/// as the writer frames it.
+std::string ForgeJournal(const CorpusSet& set,
+                         const std::vector<Forged>& records) {
+  serde::Writer w;
+  w.WriteBytes(kDeltaJournalMagic, sizeof(kDeltaJournalMagic));
+  w.WriteU32(kDeltaJournalFormatVersion);
+  w.WriteU32(0);
+  w.WriteU64(set.content_hash());
+  w.WriteU64(BaseEndId(set));
+  for (const Forged& r : records) {
+    serde::Writer body;
+    body.WriteU64(r.seq);
+    body.WriteU8(r.kind);
+    body.WriteU64(r.id);
+    body.WriteBytes(r.payload.data(), r.payload.size());
+    const std::string bytes = body.TakeBuffer();
+    w.WriteU64(bytes.size());
+    w.WriteBytes(bytes.data(), bytes.size());
+    w.WriteU64(serde::Checksum(bytes));
+  }
+  return w.TakeBuffer();
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// The forger writes exactly what the live writer writes, so the hostile
+// cases below differ from a real journal only where they say they do.
+TEST_F(FreshDeltaTest, ForgedJournalMatchesTheWriter) {
+  const Shared& s = GetShared();
+  const std::string path = TempPath("fresh_delta_forge_test.wwtdlt");
+  std::remove(path.c_str());
+  WebTable added = MakeTable("forge check", {"h1", "h2"}, {{"a", "b"}});
+  SummaryOverride patch;
+  patch.title = "patched";
+  patch.body_cells.push_back({0, 1, "cell"});
+  patch.context = "context";
+  const TableId base_end = BaseEndId(*s.set);
+  {
+    auto delta = DeltaShard::Open(s.set, {path}).value();
+    ASSERT_TRUE(delta->AddTable(added).ok());
+    ASSERT_TRUE(delta->OverrideSummary(base_end, patch).ok());
+    ASSERT_TRUE(delta->TombstoneTable(1).ok());
+  }
+  added.id = base_end;
+  EXPECT_EQ(ReadBytes(path),
+            ForgeJournal(*s.set, {{1, kAddKind, base_end, TablePayload(added)},
+                                  {2, kOverrideKind, base_end,
+                                   PatchPayload(patch)},
+                                  {3, kTombstoneKind, 1, ""}}));
+  std::remove(path.c_str());
+}
+
+// Each case fails on its last record; everything before it is a
+// legitimate journal. Replay refuses the whole file with Corruption
+// naming that record's seq and leaves the file as it was.
+TEST_F(FreshDeltaTest, HostileJournalRecordsAreCorruption) {
+  const Shared& s = GetShared();
+  const std::string path = TempPath("fresh_delta_hostile_test.wwtdlt");
+  const uint64_t base_end = BaseEndId(*s.set);
+  const std::string table = TablePayload(MakeTable("forged", {"h"}, {{"c"}}));
+  SummaryOverride retitle;
+  retitle.title = "forged title";
+  const std::string patch = PatchPayload(retitle);
+  WebTable no_columns;
+  no_columns.title_rows.push_back("no columns at all");
+
+  struct Case {
+    const char* what;
+    std::vector<Forged> records;
+  };
+  const std::vector<Case> cases = {
+      {"add of id 0xFFFFFFFF", {{1, kAddKind, 0xFFFFFFFFull, table}}},
+      {"tombstone of id 2^32+5 (frozen table 5 once truncated)",
+       {{1, kTombstoneKind, (1ull << 32) + 5, ""}}},
+      {"update of id 2^32+5", {{1, kUpdateKind, (1ull << 32) + 5, table}}},
+      {"add that skips ids",
+       {{1, kAddKind, base_end, table},
+        {2, kAddKind, base_end + 1 + 1000000, table}}},
+      {"update of an unallocated id", {{1, kUpdateKind, base_end, table}}},
+      {"override of an unallocated id",
+       {{1, kAddKind, base_end, table},
+        {2, kOverrideKind, base_end + 1, patch}}},
+      {"tombstone of an unallocated id",
+       {{1, kTombstoneKind, base_end, ""}}},
+      {"tombstone written twice",
+       {{1, kTombstoneKind, 2, ""}, {2, kTombstoneKind, 2, ""}}},
+      {"override of a tombstoned id",
+       {{1, kTombstoneKind, 3, ""}, {2, kOverrideKind, 3, patch}}},
+      {"add of a 0-column table",
+       {{1, kAddKind, base_end, TablePayload(no_columns)}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    std::vector<Forged> prefix = c.records;
+    prefix.pop_back();
+    WriteBytes(path, ForgeJournal(*s.set, prefix));
+    ASSERT_TRUE(DeltaShard::Open(s.set, {path}).ok());
+
+    const std::string bytes = ForgeJournal(*s.set, c.records);
+    WriteBytes(path, bytes);
+    StatusOr<std::unique_ptr<DeltaShard>> opened =
+        DeltaShard::Open(s.set, {path});
+    ASSERT_FALSE(opened.ok());
+    EXPECT_TRUE(opened.status().IsCorruption())
+        << opened.status().ToString();
+    const std::string seq =
+        "record seq " + std::to_string(c.records.back().seq) + " ";
+    EXPECT_NE(opened.status().message().find(seq), std::string::npos)
+        << opened.status().ToString();
+    EXPECT_EQ(ReadBytes(path), bytes);
+  }
+  std::remove(path.c_str());
+}
+
+// Open's replay and the live API share one rule book: a random journal
+// of well-checksummed records opens exactly when the same operations,
+// applied through the live API, all succeed — and then to the same
+// state, freshness hash included.
+TEST_F(FreshDeltaTest, RandomJournalsReplayLikeTheLiveApi) {
+  const Shared& s = GetShared();
+  const std::string path = TempPath("fresh_delta_random_test.wwtdlt");
+  const uint64_t base_end = BaseEndId(*s.set);
+  std::mt19937_64 rng(20261017);
+  auto chance = [&rng](int percent) {
+    return static_cast<int>(rng() % 100) < percent;
+  };
+
+  // A live operation and the record that claims to journal it;
+  // `expressible` is false when the live API cannot produce the record
+  // (a garbled payload or kind, an id past 32 bits, a seq out of order).
+  struct Op {
+    Forged record;
+    WebTable table;
+    SummaryOverride patch;
+    bool expressible = true;
+  };
+
+  int opened = 0;
+  int refused = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<Op> ops;
+    uint64_t next_add = base_end;
+    const int n = 1 + static_cast<int>(rng() % 6);
+    for (int i = 0; i < n; ++i) {
+      Op op;
+      Forged& r = op.record;
+      r.seq = !ops.empty() && chance(4) ? ops.back().record.seq : i + 1;
+      r.kind = static_cast<uint8_t>(1 + rng() % 4);
+      const uint64_t k = rng() % 3;
+      switch (rng() % 6) {
+        case 0: r.id = 0; break;
+        case 1: r.id = base_end - 1 - k; break;
+        case 2: r.id = base_end + k; break;
+        case 3: r.id = 0xFFFFFFFFull; break;
+        case 4: r.id = (1ull << 32) + k; break;
+        default: r.id = next_add; break;
+      }
+      if (r.kind == kAddKind && chance(50)) r.id = next_add;
+      if (r.kind == kAddKind || r.kind == kUpdateKind) {
+        const size_t cols = rng() % 3;
+        op.table = MakeTable("random " + std::to_string(rng() % 5),
+                             std::vector<std::string>(cols, "hdr"),
+                             {std::vector<std::string>(cols, "cell")});
+        if (cols == 0) op.table = WebTable{};
+        op.table.id = static_cast<TableId>(r.id);
+        r.payload = TablePayload(op.table);
+        if (r.kind == kAddKind && r.id == next_add) ++next_add;
+      } else if (r.kind == kOverrideKind) {
+        if (chance(80)) op.patch.title = "retitled";
+        if (chance(30)) {
+          op.patch.body_cells.push_back({static_cast<uint32_t>(rng() % 3),
+                                         static_cast<uint32_t>(rng() % 3),
+                                         "edited"});
+        }
+        r.payload = PatchPayload(op.patch);
+      }
+      if (chance(8)) {
+        // Garbled: a byte short, or a byte over.
+        if (!r.payload.empty() && chance(50)) {
+          r.payload.pop_back();
+        } else {
+          r.payload.push_back('\x01');
+        }
+        op.expressible = false;
+      }
+      if (chance(3)) {
+        r.kind = chance(50) ? 0 : 5;
+        op.expressible = false;
+      }
+      if (r.id > 0xFFFFFFFFull ||
+          (!ops.empty() && r.seq <= ops.back().record.seq)) {
+        op.expressible = false;
+      }
+      ops.push_back(std::move(op));
+    }
+
+    auto live = DeltaShard::Open(s.set).value();
+    bool live_ok = true;
+    for (const Op& op : ops) {
+      const TableId id = static_cast<TableId>(op.record.id);
+      Status st;
+      if (!op.expressible) {
+        st = Status::InvalidArgument("not a live operation");
+      } else if (op.record.kind == kAddKind) {
+        StatusOr<TableId> added = live->AddTable(op.table);
+        st = added.ok() && *added != id
+                 ? Status::FailedPrecondition("allocated ", *added)
+                 : added.status();
+      } else if (op.record.kind == kUpdateKind) {
+        st = live->UpdateTable(op.table);
+      } else if (op.record.kind == kOverrideKind) {
+        st = live->OverrideSummary(id, op.patch);
+      } else {
+        st = live->TombstoneTable(id);
+      }
+      if (!st.ok()) {
+        live_ok = false;
+        break;
+      }
+    }
+
+    std::vector<Forged> records;
+    for (const Op& op : ops) records.push_back(op.record);
+    WriteBytes(path, ForgeJournal(*s.set, records));
+    StatusOr<std::unique_ptr<DeltaShard>> replayed =
+        DeltaShard::Open(s.set, {path});
+    ASSERT_EQ(replayed.ok(), live_ok) << replayed.status().ToString();
+    if (!replayed.ok()) {
+      EXPECT_TRUE(replayed.status().IsCorruption())
+          << replayed.status().ToString();
+      ++refused;
+      continue;
+    }
+    ++opened;
+    std::shared_ptr<const DeltaView> a = (*replayed)->view();
+    std::shared_ptr<const DeltaView> b = live->view();
+    ASSERT_EQ(a->tables().size(), b->tables().size());
+    for (auto ia = a->tables().begin(), ib = b->tables().begin();
+         ia != a->tables().end(); ++ia, ++ib) {
+      EXPECT_EQ(ia->first, ib->first);
+      EXPECT_EQ(SerializeTable(ia->second), SerializeTable(ib->second));
+    }
+    EXPECT_EQ(a->tombstoned(), b->tombstoned());
+    EXPECT_EQ(a->next_table_id(), b->next_table_id());
+    EXPECT_EQ(a->num_overrides(), b->num_overrides());
+    EXPECT_EQ(a->hidden_count(), b->hidden_count());
+    EXPECT_EQ(a->freshness_hash(), b->freshness_hash());
+  }
+  // Both outcomes are exercised, each many times.
+  EXPECT_GE(opened, 25);
+  EXPECT_GE(refused, 25);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Copyright 2026 The WWT Authors
 
 #include <cstdio>
+#include <limits>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -109,10 +111,25 @@ TEST(TableIndexTest, IdfTracksCorpus) {
   index.Add(MakeTable(0, "common rare", "", {{"x"}}));
   index.Add(MakeTable(1, "common", "", {{"x"}}));
   index.Add(MakeTable(2, "common", "", {{"x"}}));
-  TermId common = *index.vocab().Find("common");
-  TermId rare = *index.vocab().Find("rare");
-  EXPECT_GT(index.idf().Idf(rare), index.idf().Idf(common));
+  // The vocabulary holds tokens, not raw words ("rare" is stored as
+  // "rar"), so look each word up through the index's own tokenizer.
+  const Tokenizer& tokenizer = index.tokenizer();
+  std::optional<TermId> common =
+      index.vocab().Find(tokenizer.Tokenize("common").at(0));
+  std::optional<TermId> rare =
+      index.vocab().Find(tokenizer.Tokenize("rare").at(0));
+  ASSERT_TRUE(common.has_value() && rare.has_value());
+  EXPECT_GT(index.idf().Idf(*rare), index.idf().Idf(*common));
   EXPECT_EQ(index.num_docs(), 3u);
+}
+
+// The largest TableId cannot be indexed: the per-doc length arrays are
+// sized doc + 1, which wraps to 0 in TableId arithmetic.
+TEST(TableIndexDeathTest, AddRejectsTheLargestTableId) {
+  TableIndex index;
+  EXPECT_DEATH(index.Add(MakeTable(std::numeric_limits<TableId>::max(),
+                                   "header", "", {{"x"}})),
+               "out of range");
 }
 
 TEST(TableIndexTest, TitleIndexedAsHeaderField) {

@@ -20,6 +20,8 @@
 #   6. Malformed numbers fail instead of wrapping or falling back to a
 #      default: a mutation id above the 32-bit range, and numeric flag
 #      values that are not whole, in-range numbers.
+#   7. A journal record that no live mutation could have written (an
+#      add of table id 0xFFFFFFFF) is refused at startup, file intact.
 set -u
 
 INDEXER="${1:?usage: wwt_serve_cli_test.sh /path/to/wwt_indexer /path/to/wwt_serve}"
@@ -257,5 +259,40 @@ check_bad_flag --batch-mult 0
 check_bad_flag --k 5x
 check_bad_flag --cache-mb inf
 check_bad_flag --merge-shards 2x
+
+# ---- 7. A hostile journal is refused at startup. Take a real journal
+# holding one add, point that record at table id 0xFFFFFFFF and
+# re-checksum it: replay must refuse it as Corruption naming its seq
+# (one wwt_serve: line, exit 1) and leave the file as it was.
+if command -v python3 >/dev/null 2>&1; then
+  printf 'add | hostile | h1 , h2 | a , b\n' >"$TMP/one_add.txt"
+  "$SERVE" --snapshot "$TMP/tiny.wwtset" --journal "$TMP/hostile.wwtdlt" \
+    --mutations "$TMP/one_add.txt" --stdin --quiet </dev/null \
+    >/dev/null 2>&1 || fail "journaled add run failed"
+  python3 - "$TMP/hostile.wwtdlt" <<'PY' || fail "cannot forge the record"
+import struct, sys
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+header = 32  # magic, version, flags, base hash, base end
+(size,) = struct.unpack_from("<Q", data, header)
+body = header + 8
+# Body: u64 seq, u8 kind, u64 table id, payload.
+struct.pack_into("<Q", data, body + 9, 0xFFFFFFFF)
+h = 14695981039346656037  # FNV-1a 64 over the body
+for b in data[body:body + size]:
+    h = ((h ^ b) * 1099511628211) & 0xFFFFFFFFFFFFFFFF
+struct.pack_into("<Q", data, body + size, h)
+open(path, "wb").write(data)
+PY
+  cp "$TMP/hostile.wwtdlt" "$TMP/hostile.orig"
+  if "$SERVE" --snapshot "$TMP/tiny.wwtset" --journal "$TMP/hostile.wwtdlt" \
+      --stdin --quiet </dev/null >/dev/null 2>"$TMP/hostile.err"; then
+    fail "a journal add of table id 0xFFFFFFFF was accepted"
+  fi
+  grep -q '^wwt_serve: Corruption: .*record seq 1 ' "$TMP/hostile.err" \
+    || fail "hostile journal error is wrong: $(cat "$TMP/hostile.err")"
+  cmp -s "$TMP/hostile.wwtdlt" "$TMP/hostile.orig" \
+    || fail "a refused journal was rewritten"
+fi
 
 echo "wwt_serve_cli_test: PASS"
