@@ -5,9 +5,10 @@
 // column map, consolidate), queries ordered by increasing total time.
 // In the paper, on a disk-backed corpus, table reads and consolidation
 // dominate and column mapping is a small fraction. Here the corpus is in
-// memory, so column mapping stays the largest stage: about half of a
-// 9.4 ms query at seed 42, scale 1, one thread (4-core x86 VM), with the
-// first table read (candidate building included) at about 40%.
+// memory, so column mapping is not small: 37-39% of a 7.5-9.4 ms query
+// at seed 42, scale 1, one thread (4-core x86 VM), second to the first
+// table read (candidate building included) at about 48%. CI gates the
+// ratio of the two (bench_compare, bench/baseline/BENCH_runtime.json).
 //
 // Queries are served through a WwtService batch; WWT_THREADS (default
 // 1 for undistorted per-stage timing) sets the batch concurrency.

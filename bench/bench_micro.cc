@@ -87,42 +87,53 @@ BENCHMARK_F(IndexFixture, ConjunctiveProbe)(benchmark::State& state) {
   }
 }
 
-void BM_BipartiteMatching(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+/// A column-mapper-shaped instance: `cols` table columns against
+/// `labels` unit query labels plus an na that takes every column.
+void MatcherInstance(int cols, int labels, std::vector<double>* weight,
+                     std::vector<int>* right_cap) {
   Random rng(7);
-  BipartiteSpec spec;
-  spec.left_cap.assign(n, 1);
-  spec.right_cap.assign(n, 1);
-  spec.right_cap.push_back(n);
-  spec.weight.assign(n, std::vector<double>(n + 1));
-  for (auto& row : spec.weight) {
-    for (auto& w : row) w = rng.NextDouble();
+  right_cap->assign(labels, 1);
+  right_cap->push_back(cols);  // na
+  weight->resize(cols * (labels + 1));
+  for (double& w : *weight) w = rng.NextDouble();
+}
+
+/// The workload's shapes (2-6 columns x up to 6 labels) and two larger
+/// ones; the matcher is reused across iterations, as its callers do.
+void MatcherShapes(benchmark::internal::Benchmark* b) {
+  for (int cols : {2, 4, 6}) {
+    for (int labels : {2, 4, 6}) b->Args({cols, labels});
   }
+  b->Args({8, 8})->Args({16, 16});
+}
+
+void BM_BipartiteMatching(benchmark::State& state) {
+  std::vector<double> weight;
+  std::vector<int> right_cap;
+  MatcherInstance(static_cast<int>(state.range(0)),
+                  static_cast<int>(state.range(1)), &weight, &right_cap);
+  CapacitatedMatcher matcher;
   for (auto _ : state) {
-    CapacitatedMatcher matcher(spec);
-    benchmark::DoNotOptimize(matcher.Solve().total_weight);
+    matcher.Solve(weight, right_cap);
+    benchmark::DoNotOptimize(matcher.total_weight());
   }
 }
-BENCHMARK(BM_BipartiteMatching)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_BipartiteMatching)->Apply(MatcherShapes);
 
 void BM_MaxMarginals(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Random rng(7);
-  BipartiteSpec spec;
-  spec.left_cap.assign(n, 1);
-  spec.right_cap.assign(3, 1);
-  spec.right_cap.push_back(n);
-  spec.weight.assign(n, std::vector<double>(4));
-  for (auto& row : spec.weight) {
-    for (auto& w : row) w = rng.NextDouble();
-  }
+  std::vector<double> weight, mu;
+  std::vector<int> right_cap;
+  MatcherInstance(static_cast<int>(state.range(0)),
+                  static_cast<int>(state.range(1)), &weight, &right_cap);
+  CapacitatedMatcher matcher;
   for (auto _ : state) {
-    CapacitatedMatcher matcher(spec);
-    matcher.Solve();
-    benchmark::DoNotOptimize(matcher.MaxMarginals().size());
+    matcher.Solve(weight, right_cap);
+    matcher.MaxMarginals(&mu);
+    benchmark::DoNotOptimize(mu.data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_MaxMarginals)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_MaxMarginals)->Apply(MatcherShapes);
 
 void BM_ConstrainedCut(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

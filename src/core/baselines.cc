@@ -94,6 +94,9 @@ MapResult BaselineMapper::Map(const Query& query,
   }
 
   MapResult result;
+  CapacitatedMatcher matcher;
+  std::vector<double> weight;  // row-major nt x (q + 1)
+  std::vector<int> right_cap;
   for (int t = 0; t < n; ++t) {
     const CandidateTable& table = tables[t];
     const int nt = table.num_cols;
@@ -137,33 +140,29 @@ MapResult BaselineMapper::Map(const Query& query,
         1.0 / (1.0 + std::exp(-20.0 * (rel_score -
                                        options_.table_threshold)));
     mapping.labels.assign(nt, kLabelNr);
-    mapping.col_probs.assign(nt,
-                             std::vector<double>(NumLabels(q), 0.0));
 
     if (rel_score >= options_.table_threshold && nt > 0) {
       // Thresholded best matching of query columns to table columns
       // (mutex respected via unit label capacities).
-      BipartiteSpec spec;
-      spec.left_cap.assign(nt, 1);
-      spec.right_cap.assign(q, 1);
-      spec.right_cap.push_back(nt);  // na
-      spec.weight.assign(nt, std::vector<double>(q + 1, 0.0));
+      right_cap.assign(q, 1);
+      right_cap.push_back(nt);  // na
+      weight.assign(nt * (q + 1), 0.0);
       for (int c = 0; c < nt; ++c) {
         for (int l = 0; l < q; ++l) {
           double s = sim[t][c][l];
           if (options_.kind == BaselineKind::kPmi2) {
             s += options_.pmi_weight * pmi[c][l];
           }
-          spec.weight[c][l] = s - options_.column_threshold;
+          weight[c * (q + 1) + l] = s - options_.column_threshold;
         }
       }
-      CapacitatedMatcher matcher(std::move(spec));
-      const BipartiteResult& match = matcher.Solve();
+      matcher.Solve(weight, right_cap);
+      const std::vector<int>& match = matcher.left_match();
 
       int assigned = 0;
       std::vector<int> labels(nt, kLabelNa);
       for (int c = 0; c < nt; ++c) {
-        int r = match.left_match[c];
+        int r = match[c];
         if (r >= 0 && r < q) {
           // Only keep above-threshold assignments.
           double s = sim[t][c][r];

@@ -70,32 +70,39 @@ const char* InferenceModeToString(InferenceMode mode) {
 ColumnMapper::ColumnMapper(const CorpusStats* stats, MapperOptions options)
     : index_(stats), options_(std::move(options)) {}
 
+struct ColumnMapper::MatchScratch {
+  CapacitatedMatcher matcher;
+  std::vector<double> weight;  // row-major nt x (q + 1)
+  std::vector<int> right_cap;
+  std::vector<double> mu;
+};
+
 ColumnMapper::TableInference ColumnMapper::SolveTableIndependent(
-    const std::vector<std::vector<double>>& theta, int q,
-    int min_match) const {
+    const std::vector<std::vector<double>>& theta, int q, int min_match,
+    MatchScratch* scratch) const {
   TableInference result;
   const int nt = static_cast<int>(theta.size());
   if (nt == 0) return result;
   const int m = std::min(min_match, nt);
 
-  BipartiteSpec spec;
-  spec.left_cap.assign(nt, 1);
-  spec.right_cap.assign(q, 1);
-  spec.right_cap.push_back(std::max(0, nt - m));  // na
-  spec.weight.assign(nt, std::vector<double>(q + 1, 0.0));
+  std::vector<double>& weight = scratch->weight;
+  scratch->right_cap.assign(q, 1);
+  scratch->right_cap.push_back(std::max(0, nt - m));  // na
+  weight.resize(nt * (q + 1));
   for (int c = 0; c < nt; ++c) {
+    double* row = &weight[c * (q + 1)];
     for (int l = 0; l < q; ++l) {
-      spec.weight[c][l] = theta[c][l] + (l == 0 ? kMustMatchBonus : 0.0);
+      row[l] = theta[c][l] + (l == 0 ? kMustMatchBonus : 0.0);
     }
-    spec.weight[c][q] = theta[c][NaLabel(q)];
+    row[q] = theta[c][NaLabel(q)];
   }
-  CapacitatedMatcher matcher(std::move(spec));
-  const BipartiteResult& match = matcher.Solve();
+  scratch->matcher.Solve(weight, scratch->right_cap);
+  const std::vector<int>& match = scratch->matcher.left_match();
 
   std::vector<int> labels(nt, NaLabel(q));
   double rel_score = 0;
   for (int c = 0; c < nt; ++c) {
-    int r = match.left_match[c];
+    int r = match[c];
     labels[c] = (r >= 0 && r < q) ? r : NaLabel(q);
     rel_score += theta[c][labels[c]];
   }
@@ -116,7 +123,8 @@ ColumnMapper::TableInference ColumnMapper::SolveTableIndependent(
 }
 
 std::vector<std::vector<double>> ColumnMapper::MaxMarginalProbs(
-    const std::vector<std::vector<double>>& theta, int q) const {
+    const std::vector<std::vector<double>>& theta, int q,
+    MatchScratch* scratch) const {
   const int nt = static_cast<int>(theta.size());
   std::vector<std::vector<double>> probs(
       nt, std::vector<double>(NumLabels(q), 0.0));
@@ -124,18 +132,18 @@ std::vector<std::vector<double>> ColumnMapper::MaxMarginalProbs(
 
   // Fig. 3 graph: no must-match bonus, na capacity nt (min-match and
   // must-match excluded so relative magnitudes stay undistorted).
-  BipartiteSpec spec;
-  spec.left_cap.assign(nt, 1);
-  spec.right_cap.assign(q, 1);
-  spec.right_cap.push_back(nt);  // na
-  spec.weight.assign(nt, std::vector<double>(q + 1, 0.0));
+  std::vector<double>& weight = scratch->weight;
+  scratch->right_cap.assign(q, 1);
+  scratch->right_cap.push_back(nt);  // na
+  weight.resize(nt * (q + 1));
   for (int c = 0; c < nt; ++c) {
-    for (int l = 0; l < q; ++l) spec.weight[c][l] = theta[c][l];
-    spec.weight[c][q] = theta[c][NaLabel(q)];
+    double* row = &weight[c * (q + 1)];
+    for (int l = 0; l < q; ++l) row[l] = theta[c][l];
+    row[q] = theta[c][NaLabel(q)];
   }
-  CapacitatedMatcher matcher(std::move(spec));
-  matcher.Solve();
-  std::vector<std::vector<double>> mu = matcher.MaxMarginals();
+  scratch->matcher.Solve(weight, scratch->right_cap);
+  scratch->matcher.MaxMarginals(&scratch->mu);
+  const std::vector<double>& mu = scratch->mu;
 
   double mu_nr = 0;
   for (int c = 0; c < nt; ++c) mu_nr += theta[c][NrLabel(q)];
@@ -143,7 +151,7 @@ std::vector<std::vector<double>> ColumnMapper::MaxMarginalProbs(
   const double inv_t = 1.0 / std::max(options_.prob_temperature, 1e-6);
   for (int c = 0; c < nt; ++c) {
     std::vector<double> vals(NumLabels(q));
-    for (int l = 0; l <= q; ++l) vals[l] = mu[c][l];
+    for (int l = 0; l <= q; ++l) vals[l] = mu[c * (q + 1) + l];
     vals[NrLabel(q)] = mu_nr;
     const double hi = *std::max_element(vals.begin(), vals.end());
     double z = 0;
@@ -165,15 +173,19 @@ MapResult ColumnMapper::Map(const Query& query,
   const int min_match = query.min_match();
   FeatureComputer features(index_, options_.features);
 
-  // ----- Node potentials, table-local probabilities, base inference.
+  MatchScratch scratch;
+  const bool collective = options_.mode != InferenceMode::kIndependent;
+
+  // ----- Node potentials, base inference, and the table-local
+  // probabilities that only collective inference reads.
   std::vector<std::vector<std::vector<double>>> theta(n);
   std::vector<std::vector<std::vector<double>>> probs(n);
   std::vector<TableInference> base(n);
   for (int t = 0; t < n; ++t) {
     theta[t] = ComputeNodePotentials(query, tables[t], &features,
                                      options_.weights, options_.use_pmi2);
-    probs[t] = MaxMarginalProbs(theta[t], q);
-    base[t] = SolveTableIndependent(theta[t], q, min_match);
+    if (collective) probs[t] = MaxMarginalProbs(theta[t], q, &scratch);
+    base[t] = SolveTableIndependent(theta[t], q, min_match, &scratch);
   }
 
   auto confident = [&](int t, int c) {
@@ -184,9 +196,7 @@ MapResult ColumnMapper::Map(const Query& query,
 
   // ----- Cross-table edges (only needed for collective modes).
   std::vector<CrossEdge> edges;
-  if (options_.mode != InferenceMode::kIndependent) {
-    edges = BuildCrossEdges(tables, options_.edges);
-  }
+  if (collective) edges = BuildCrossEdges(tables, options_.edges);
   const double we = options_.weights.we;
 
   // ----- Inference.
@@ -220,7 +230,8 @@ MapResult ColumnMapper::Map(const Query& query,
             boosted[c][l] = std::max(boosted[c][l], msg[t][c][l]);
           }
         }
-        labels[t] = SolveTableIndependent(boosted, q, min_match).labels;
+        labels[t] =
+            SolveTableIndependent(boosted, q, min_match, &scratch).labels;
       }
       break;
     }
@@ -305,7 +316,8 @@ MapResult ColumnMapper::Map(const Query& query,
         labels[t].assign(flat.begin() + first_node[t],
                          flat.begin() + first_node[t + 1]);
         if (!SatisfiesConstraints(labels[t], q, min_match)) {
-          labels[t] = SolveTableIndependent(theta[t], q, min_match).labels;
+          labels[t] =
+              SolveTableIndependent(theta[t], q, min_match, &scratch).labels;
         }
       }
       break;
@@ -319,7 +331,6 @@ MapResult ColumnMapper::Map(const Query& query,
     TableMapping mapping;
     mapping.id = tables[t].table.id;
     mapping.relevant = !AllNr(labels[t], q) && tables[t].num_cols > 0;
-    mapping.col_probs = probs[t];
     for (int c = 0; c < tables[t].num_cols; ++c) {
       mapping.labels.push_back(ToExternalLabel(labels[t][c], q));
       objective += theta[t][c][labels[t][c]];

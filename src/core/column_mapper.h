@@ -59,9 +59,6 @@ struct TableMapping {
   bool relevant = false;
   /// Per column, external encoding: 0..q-1 / kLabelNa / kLabelNr.
   std::vector<int> labels;
-  /// Calibrated per-column label distribution (internal label order:
-  /// 0..q-1, na, nr), from table-local max-marginals (§4.2 step 1).
-  std::vector<std::vector<double>> col_probs;
   /// Calibrated table relevance probability (drives the second index
   /// probe's top-2 selection and row ranking).
   double relevance_prob = 0;
@@ -96,15 +93,20 @@ class ColumnMapper {
     bool relevant = false;
     double score = 0;  // node-potential part of Eq. 9 for this table
   };
+  /// One matcher and its input buffers, reused by every solve of a Map
+  /// call (defined in the .cc).
+  struct MatchScratch;
 
   /// §4.1 optimum for one table given node potentials.
   TableInference SolveTableIndependent(
-      const std::vector<std::vector<double>>& theta, int q,
-      int min_match) const;
+      const std::vector<std::vector<double>>& theta, int q, int min_match,
+      MatchScratch* scratch) const;
 
-  /// §4.2 step 1: per-column softmax of max-marginals.
+  /// §4.2 step 1: per-column softmax of max-marginals, the calibrated
+  /// label distribution (internal label order: 0..q-1, na, nr).
   std::vector<std::vector<double>> MaxMarginalProbs(
-      const std::vector<std::vector<double>>& theta, int q) const;
+      const std::vector<std::vector<double>>& theta, int q,
+      MatchScratch* scratch) const;
 
   const CorpusStats* index_;
   MapperOptions options_;

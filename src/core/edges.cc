@@ -96,6 +96,9 @@ std::vector<CrossEdge> BuildCrossEdges(
   std::vector<int> touched;
   std::vector<ScoredPair> pairs;
   std::vector<char> right_used;
+  CapacitatedMatcher matcher;
+  std::vector<double> match_weight;  // row-major a.num_cols x b.num_cols
+  std::vector<int> right_cap;
   auto add_edge = [&edges](int i, const ScoredPair& p) {
     edges.push_back({i, p.c1, p.t2, p.c2, p.sim});
   };
@@ -168,15 +171,16 @@ std::vector<CrossEdge> BuildCrossEdges(
         for (size_t p = begin; p < end; ++p) add_edge(i, pairs[p]);
       } else {
         // Max-matching edges: one partner per column in this pair.
-        BipartiteSpec spec;
-        spec.left_cap.assign(a.num_cols, 1);
-        spec.right_cap.assign(b.num_cols, 1);
-        spec.weight.assign(a.num_cols, std::vector<double>(b.num_cols, 0));
+        right_cap.assign(b.num_cols, 1);
+        match_weight.assign(a.num_cols * b.num_cols, 0.0);
         for (size_t p = begin; p < end; ++p) {
-          spec.weight[pairs[p].c1][pairs[p].c2] = pairs[p].weight;
+          match_weight[pairs[p].c1 * b.num_cols + pairs[p].c2] =
+              pairs[p].weight;
         }
-        CapacitatedMatcher matcher(std::move(spec));
-        for (const auto& [ca, cb] : matcher.Solve().edges) {
+        matcher.Solve(match_weight, right_cap);
+        for (int ca = 0; ca < a.num_cols; ++ca) {
+          const int cb = matcher.left_match()[ca];
+          if (cb < 0) continue;
           // The matcher may pad with zero-weight pairs; they are no edges.
           auto it = std::lower_bound(
               pairs.begin() + begin, pairs.begin() + end,

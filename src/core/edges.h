@@ -52,8 +52,9 @@ struct CrossEdge {
 /// already form a one-to-one set emits them without running the
 /// bipartite matcher: each weighs at least content_weight * sim_floor and
 /// every other pair weighs 0, so they are exactly the max-weight
-/// matching. Only table pairs whose kept pairs share a column run
-/// CapacitatedMatcher.
+/// matching. Only table pairs whose kept pairs share a column run the
+/// bipartite matcher: one CapacitatedMatcher per call, reused across
+/// those pairs, on a flat a.cols x b.cols weight buffer.
 ///
 /// Both shortcuts need sim_floor and content_weight in (0, 1]; this is
 /// WWT_CHECKed (ValidateEngineOptions rejects other values at submit).

@@ -140,6 +140,8 @@ class Parser {
       ConsumeRawText(added, tag);
       return;
     }
+    // stack_[0] is the document, not an open element.
+    if (stack_.size() > kMaxOpenElements) return;
     stack_.push_back(added);
   }
 

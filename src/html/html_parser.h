@@ -12,11 +12,20 @@
 #ifndef WWT_HTML_HTML_PARSER_H_
 #define WWT_HTML_HTML_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "html/dom.h"
 
 namespace wwt {
+
+/// The most elements ParseHtml keeps open at once. An element opened at
+/// this depth still attaches to the innermost open element but is not
+/// opened itself: what follows it lands beside it. That bounds the tree's
+/// depth, so every recursive walk of a Document (and its destructor)
+/// stays shallow, and it bounds the parser's own open-element scans.
+/// Browsers cap nesting too; Blink's limit is also 512.
+inline constexpr size_t kMaxOpenElements = 512;
 
 /// Parses `html` into a Document. Never fails; malformed markup degrades
 /// to text or gets auto-closed.

@@ -298,9 +298,6 @@ size_t HeapOf(const MapResult& mapping) {
   size_t bytes = 0;
   for (const TableMapping& tm : mapping.tables) {
     bytes += sizeof(tm) + HeapOf(tm.labels);
-    for (const std::vector<double>& probs : tm.col_probs) {
-      bytes += sizeof(probs) + HeapOf(probs);
-    }
   }
   return bytes;
 }

@@ -3,7 +3,8 @@
 # perf-regression gate. Exercises the full exit-code contract against
 # synthetic bench JSON: identical runs pass, a halved QPS fails, the
 # same regression passes under --warn-only, a false correctness flag
-# fails even under --warn-only, and missing/malformed inputs are usage
+# fails even under --warn-only, fig7's column-map ratio passes within
+# its band and fails past it, and missing/malformed inputs are usage
 # errors (exit 2), never crashes.
 set -u
 
@@ -104,6 +105,36 @@ if "$COMPARE" --warn-only --baseline "$TMP/cold_base.json" \
 fi
 grep -q "correctness flag is FALSE" "$TMP/cold_wrong.txt" \
   || fail "no correctness-failure line (coldstart)"
+
+# The fig7 shape: {"bench": "fig7_runtime"} gates the ratio of its
+# "Column Map" to its "1st Table Read" stage time, where lower is better.
+write_fig7() {
+  local path="$1" column_map_ms="$2"
+  cat > "$path" <<EOF
+{
+  "bench": "fig7_runtime",
+  "qps": 250.0,
+  "stage_total_ms": {"1st Index": 1.0, "1st Table Read": 100.0,
+                     "2nd Index": 4.0, "2nd Table Read": 3.0,
+                     "Column Map": ${column_map_ms}, "Consolidate": 4.0}
+}
+EOF
+}
+write_fig7 "$TMP/fig7_base.json" 60.0
+# A ratio within the band (0.60 -> 0.75 < 0.60 * 1.3): gate passes.
+write_fig7 "$TMP/fig7_ok.json" 75.0
+"$COMPARE" --baseline "$TMP/fig7_base.json" --current "$TMP/fig7_ok.json" \
+  >"$TMP/fig7_ok.txt" || fail "fig7 run within the band did not pass"
+grep -q "column_map_over_table_read" "$TMP/fig7_ok.txt" \
+  || fail "fig7 gate does not report the column-map ratio"
+grep -q "gate passed" "$TMP/fig7_ok.txt" || fail "no 'gate passed' line (fig7)"
+# Column map grown past the band (0.60 -> 0.95): gate fails.
+write_fig7 "$TMP/fig7_slow.json" 95.0
+if "$COMPARE" --baseline "$TMP/fig7_base.json" \
+    --current "$TMP/fig7_slow.json" >"$TMP/fig7_slow.txt"; then
+  fail "a grown column-map ratio passed"
+fi
+grep -q "REGRESSED" "$TMP/fig7_slow.txt" || fail "no REGRESSED line (fig7)"
 
 # Missing file and malformed JSON: usage/parse errors, exit 2.
 "$COMPARE" --baseline "$TMP/nope.json" --current "$TMP/same.json" \

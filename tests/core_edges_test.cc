@@ -71,13 +71,17 @@ std::vector<CrossEdge> ReferenceCrossEdges(
         for (int d : left_deg) one_to_one &= d <= 1;
         for (int d : right_deg) one_to_one &= d <= 1;
         if (!one_to_one && matcher_runs != nullptr) ++*matcher_runs;
-        BipartiteSpec spec;
-        spec.left_cap.assign(a.num_cols, 1);
-        spec.right_cap.assign(b.num_cols, 1);
-        spec.weight = match_w;
-        CapacitatedMatcher matcher(std::move(spec));
-        for (const auto& [ca, cb] : matcher.Solve().edges) {
-          if (content[ca][cb] >= options.sim_floor) add_edge(ca, cb);
+        std::vector<double> weight;
+        for (const std::vector<double>& row : match_w) {
+          weight.insert(weight.end(), row.begin(), row.end());
+        }
+        CapacitatedMatcher matcher;
+        matcher.Solve(weight, std::vector<int>(b.num_cols, 1));
+        for (int ca = 0; ca < a.num_cols; ++ca) {
+          const int cb = matcher.left_match()[ca];
+          if (cb >= 0 && content[ca][cb] >= options.sim_floor) {
+            add_edge(ca, cb);
+          }
         }
       } else {
         for (int ca = 0; ca < a.num_cols; ++ca) {

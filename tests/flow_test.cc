@@ -5,86 +5,42 @@
 // on randomized instances — these are the algorithms the whole column
 // mapper rests on.
 
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "flow/bipartite_matcher.h"
 #include "flow/constrained_cut.h"
 #include "flow/max_flow.h"
-#include "flow/min_cost_flow.h"
 #include "util/random.h"
 
 namespace wwt {
 namespace {
 
-// ------------------------------------------------------------------ MCMF
-
-TEST(MinCostFlowTest, SimplePath) {
-  MinCostMaxFlow mcmf(3);
-  int e = mcmf.AddEdge(0, 1, 5, 1.0);
-  mcmf.AddEdge(1, 2, 3, 2.0);
-  auto r = mcmf.Solve(0, 2);
-  EXPECT_EQ(r.flow, 3);
-  EXPECT_DOUBLE_EQ(r.cost, 9.0);
-  EXPECT_EQ(mcmf.Flow(e), 3);
-  EXPECT_EQ(mcmf.ResidualCap(e), 2);
-}
-
-TEST(MinCostFlowTest, PrefersCheaperPath) {
-  MinCostMaxFlow mcmf(4);
-  int cheap = mcmf.AddEdge(0, 1, 1, 1.0);
-  mcmf.AddEdge(1, 3, 1, 0.0);
-  int costly = mcmf.AddEdge(0, 2, 1, 10.0);
-  mcmf.AddEdge(2, 3, 1, 0.0);
-  auto r = mcmf.Solve(0, 3);
-  EXPECT_EQ(r.flow, 2);  // max flow still saturates both
-  EXPECT_DOUBLE_EQ(r.cost, 11.0);
-  EXPECT_EQ(mcmf.Flow(cheap), 1);
-  EXPECT_EQ(mcmf.Flow(costly), 1);
-}
-
-TEST(MinCostFlowTest, NegativeCostEdges) {
-  MinCostMaxFlow mcmf(3);
-  mcmf.AddEdge(0, 1, 1, -5.0);
-  mcmf.AddEdge(1, 2, 1, -5.0);
-  auto r = mcmf.Solve(0, 2);
-  EXPECT_EQ(r.flow, 1);
-  EXPECT_DOUBLE_EQ(r.cost, -10.0);
-}
-
-TEST(MinCostFlowTest, DisconnectedIsZero) {
-  MinCostMaxFlow mcmf(4);
-  mcmf.AddEdge(0, 1, 1, 1.0);
-  mcmf.AddEdge(2, 3, 1, 1.0);
-  auto r = mcmf.Solve(0, 3);
-  EXPECT_EQ(r.flow, 0);
-}
-
-TEST(MinCostFlowTest, ResidualDistances) {
-  MinCostMaxFlow mcmf(3);
-  mcmf.AddEdge(0, 1, 2, 1.0);
-  mcmf.AddEdge(1, 2, 1, 1.0);
-  mcmf.Solve(0, 2);
-  // After the solve, edge 1->2 is saturated; the reverse arc 2->1 exists
-  // with cost -1.
-  auto d = mcmf.ShortestDistancesFrom(2);
-  EXPECT_DOUBLE_EQ(d[2], 0.0);
-  EXPECT_DOUBLE_EQ(d[1], -1.0);
-}
-
 // ------------------------------------------------- CapacitatedMatcher
 
-/// Brute-force maximum-weight b-matching by enumerating left->right
-/// assignments (right side may also absorb, capacity permitting).
-double BruteForceMatching(const BipartiteSpec& spec) {
-  const int nl = spec.num_left();
-  const int nr = spec.num_right();
-  // Each unit-capacity left node picks a right node or stays unmatched.
-  // (Brute force only supports left_cap == 1, which our tests use.)
+/// One matching instance in the matcher's input layout.
+struct Instance {
+  std::vector<int> right_cap;
+  std::vector<double> weight;  // row-major num_left x num_right
+
+  int num_left() const {
+    return static_cast<int>(weight.size() / right_cap.size());
+  }
+  int num_right() const { return static_cast<int>(right_cap.size()); }
+  double w(int l, int r) const { return weight[l * num_right() + r]; }
+};
+
+/// Brute-force maximum-weight matching by enumerating left->right
+/// assignments (a left may also stay unmatched).
+double BruteForceMatching(const Instance& in) {
+  const int nl = in.num_left();
+  const int nr = in.num_right();
   std::vector<int> right_used(nr, 0);
   double best = -1e18;
-  std::vector<int> choice(nl, -1);
   std::function<void(int, double)> rec = [&](int l, double w) {
     if (l == nl) {
       best = std::max(best, w);
@@ -92,9 +48,9 @@ double BruteForceMatching(const BipartiteSpec& spec) {
     }
     rec(l + 1, w);  // unmatched
     for (int r = 0; r < nr; ++r) {
-      if (right_used[r] < spec.right_cap[r]) {
+      if (right_used[r] < in.right_cap[r]) {
         ++right_used[r];
-        rec(l + 1, w + spec.weight[l][r]);
+        rec(l + 1, w + in.w(l, r));
         --right_used[r];
       }
     }
@@ -104,47 +60,32 @@ double BruteForceMatching(const BipartiteSpec& spec) {
 }
 
 TEST(MatcherTest, SimpleAssignment) {
-  BipartiteSpec spec;
-  spec.left_cap = {1, 1};
-  spec.right_cap = {1, 1};
-  spec.weight = {{5, 1}, {2, 4}};
-  CapacitatedMatcher matcher(spec);
-  const BipartiteResult& r = matcher.Solve();
-  EXPECT_DOUBLE_EQ(r.total_weight, 9.0);
-  EXPECT_EQ(r.left_match[0], 0);
-  EXPECT_EQ(r.left_match[1], 1);
+  CapacitatedMatcher matcher;
+  matcher.Solve({5, 1, 2, 4}, {1, 1});
+  EXPECT_DOUBLE_EQ(matcher.total_weight(), 9.0);
+  EXPECT_EQ(matcher.left_match(), (std::vector<int>{0, 1}));
 }
 
 TEST(MatcherTest, CrossAssignmentWhenBetter) {
-  BipartiteSpec spec;
-  spec.left_cap = {1, 1};
-  spec.right_cap = {1, 1};
-  spec.weight = {{1, 10}, {10, 1}};
-  CapacitatedMatcher matcher(spec);
-  EXPECT_DOUBLE_EQ(matcher.Solve().total_weight, 20.0);
+  CapacitatedMatcher matcher;
+  matcher.Solve({1, 10, 10, 1}, {1, 1});
+  EXPECT_DOUBLE_EQ(matcher.total_weight(), 20.0);
 }
 
 TEST(MatcherTest, CapacityAbsorbsMultipleLefts) {
-  BipartiteSpec spec;
-  spec.left_cap = {1, 1, 1};
-  spec.right_cap = {1, 3};
-  spec.weight = {{9, 1}, {8, 1}, {7, 1}};
-  CapacitatedMatcher matcher(spec);
+  CapacitatedMatcher matcher;
+  matcher.Solve({9, 1, 8, 1, 7, 1}, {1, 3});
   // Only one left can take the 9/8/7 column; others take the second.
-  EXPECT_DOUBLE_EQ(matcher.Solve().total_weight, 9 + 1 + 1);
+  EXPECT_DOUBLE_EQ(matcher.total_weight(), 9 + 1 + 1);
 }
 
 TEST(MatcherTest, NegativeWeightsStillSaturate) {
   // With balanced capacities every left node is matched even at a loss
   // (this is what the min-match constraint relies on).
-  BipartiteSpec spec;
-  spec.left_cap = {1};
-  spec.right_cap = {1};
-  spec.weight = {{-3}};
-  CapacitatedMatcher matcher(spec);
-  const BipartiteResult& r = matcher.Solve();
-  EXPECT_EQ(r.left_match[0], 0);
-  EXPECT_DOUBLE_EQ(r.total_weight, -3.0);
+  CapacitatedMatcher matcher;
+  matcher.Solve({-3}, {1});
+  EXPECT_EQ(matcher.left_match(), (std::vector<int>{0}));
+  EXPECT_DOUBLE_EQ(matcher.total_weight(), -3.0);
 }
 
 class MatcherPropertyTest : public ::testing::TestWithParam<int> {};
@@ -153,24 +94,20 @@ TEST_P(MatcherPropertyTest, MatchesBruteForce) {
   Random rng(GetParam() * 7919 + 1);
   const int nl = 1 + static_cast<int>(rng.Uniform(4));
   const int nr = 1 + static_cast<int>(rng.Uniform(3));
-  BipartiteSpec spec;
-  spec.left_cap.assign(nl, 1);
-  spec.right_cap.resize(nr);
+  Instance in;
+  in.right_cap.resize(nr);
   for (int r = 0; r < nr; ++r) {
-    spec.right_cap[r] = 1 + static_cast<int>(rng.Uniform(2));
+    in.right_cap[r] = 1 + static_cast<int>(rng.Uniform(2));
   }
-  spec.weight.assign(nl, std::vector<double>(nr));
-  for (int l = 0; l < nl; ++l) {
-    for (int r = 0; r < nr; ++r) {
-      spec.weight[l][r] = rng.NextDouble() * 4 - 1;  // mixed signs
-    }
-  }
-  double brute = BruteForceMatching(spec);
-  CapacitatedMatcher matcher(spec);
+  in.weight.resize(nl * nr);
+  for (double& w : in.weight) w = rng.NextDouble() * 4 - 1;  // mixed signs
+  double brute = BruteForceMatching(in);
+  CapacitatedMatcher matcher;
+  matcher.Solve(in.weight, in.right_cap);
   // The flow formulation saturates capacities; compare against brute
   // force allowing unmatched lefts only when weights make it better --
   // saturation can force negative edges, so flow weight <= brute.
-  EXPECT_LE(matcher.Solve().total_weight, brute + 1e-9);
+  EXPECT_LE(matcher.total_weight(), brute + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherPropertyTest,
@@ -181,9 +118,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MatcherPropertyTest,
 /// Brute force mu(l, r): best saturating assignment weight with l -> r
 /// forced (mirrors the flow formulation's semantics: all lefts matched,
 /// right capacities respected).
-double BruteForceMu(const BipartiteSpec& spec, int fl, int fr) {
-  const int nl = spec.num_left();
-  const int nr = spec.num_right();
+double BruteForceMu(const Instance& in, int fl, int fr) {
+  const int nl = in.num_left();
+  const int nr = in.num_right();
   std::vector<int> right_used(nr, 0);
   double best = -std::numeric_limits<double>::infinity();
   std::function<void(int, double)> rec = [&](int l, double w) {
@@ -192,17 +129,17 @@ double BruteForceMu(const BipartiteSpec& spec, int fl, int fr) {
       return;
     }
     if (l == fl) {
-      if (right_used[fr] < spec.right_cap[fr]) {
+      if (right_used[fr] < in.right_cap[fr]) {
         ++right_used[fr];
-        rec(l + 1, w + spec.weight[l][fr]);
+        rec(l + 1, w + in.w(l, fr));
         --right_used[fr];
       }
       return;
     }
     for (int r = 0; r < nr; ++r) {
-      if (right_used[r] < spec.right_cap[r]) {
+      if (right_used[r] < in.right_cap[r]) {
         ++right_used[r];
-        rec(l + 1, w + spec.weight[l][r]);
+        rec(l + 1, w + in.w(l, r));
         --right_used[r];
       }
     }
@@ -217,23 +154,19 @@ TEST_P(MaxMarginalPropertyTest, MatchesBruteForce) {
   Random rng(GetParam() * 104729 + 13);
   const int nl = 1 + static_cast<int>(rng.Uniform(4));   // columns
   const int nq = 1 + static_cast<int>(rng.Uniform(3));   // query labels
-  BipartiteSpec spec;
-  spec.left_cap.assign(nl, 1);
-  spec.right_cap.assign(nq, 1);
-  spec.right_cap.push_back(nl);  // na absorbs everything
-  spec.weight.assign(nl, std::vector<double>(nq + 1));
+  Instance in;
+  in.right_cap.assign(nq, 1);
+  in.right_cap.push_back(nl);  // na absorbs everything
+  in.weight.resize(nl * (nq + 1));
+  for (double& w : in.weight) w = rng.NextDouble() * 3 - 1;
+  CapacitatedMatcher matcher;
+  matcher.Solve(in.weight, in.right_cap);
+  std::vector<double> mu;
+  matcher.MaxMarginals(&mu);
   for (int l = 0; l < nl; ++l) {
     for (int r = 0; r <= nq; ++r) {
-      spec.weight[l][r] = rng.NextDouble() * 3 - 1;
-    }
-  }
-  CapacitatedMatcher matcher(spec);
-  matcher.Solve();
-  auto mu = matcher.MaxMarginals();
-  for (int l = 0; l < nl; ++l) {
-    for (int r = 0; r <= nq; ++r) {
-      double brute = BruteForceMu(spec, l, r);
-      ASSERT_NEAR(mu[l][r], brute, 1e-6)
+      double brute = BruteForceMu(in, l, r);
+      ASSERT_NEAR(mu[l * (nq + 1) + r], brute, 1e-6)
           << "mu(" << l << "," << r << ") seed " << GetParam();
     }
   }
@@ -241,6 +174,71 @@ TEST_P(MaxMarginalPropertyTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMarginalPropertyTest,
                          ::testing::Range(0, 40));
+
+// ------------------------------------------------------------ Tie order
+//
+// The property tests above check optimal values only. Among several
+// optimal matchings, the one returned is fixed by the search order the
+// matcher's header documents, and it decides served labels. These tests
+// pin that order.
+
+TEST(MatcherTieTest, HandCaseKeepsSearchOrder) {
+  // {0, 1, 2} and {0, 2, 1} both weigh 0.5. The search order returns the
+  // first; a Hungarian assignment solver returned the second.
+  CapacitatedMatcher matcher;
+  matcher.Solve({0.5, -0.5, -0.5, 0, -0.5, 0, -0.5, 0, 0.5}, {1, 1, 1});
+  EXPECT_EQ(matcher.left_match(), (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(matcher.total_weight(), 0.5);
+}
+
+/// FNV-1a over raw bytes.
+void HashBytes(const void* data, size_t size, uint64_t* hash) {
+  const unsigned char* bytes = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < size; ++i) {
+    *hash = (*hash ^ bytes[i]) * 1099511628211ULL;
+  }
+}
+
+TEST(MatcherTieTest, SeededSweepKeepsEveryMatchAndMaxMarginal) {
+  // Weights from {-0.5, 0, 0.5, 1} make the instances tie-heavy: 1,226 of
+  // the 2,000 have more than one optimal matching. The shapes are the
+  // callers': q unit labels plus an na of capacity 0..nl (the column
+  // mapper), and unit rights with more rights than lefts or more lefts
+  // than rights (cross edges). One matcher serves every instance, so
+  // reused scratch is covered too. The constant was recorded from the
+  // general min-cost-flow library this matcher replaced; a change here
+  // changes served answers.
+  constexpr uint64_t kExpectedHash = 0xcc71c3d519b687e8ULL;
+  const double kWeights[] = {-0.5, 0.0, 0.5, 1.0};
+  Random rng(2718);
+  CapacitatedMatcher matcher;
+  uint64_t hash = 14695981039346656037ULL;
+  std::vector<double> weight, mu;
+  std::vector<int> right_cap;
+  for (int k = 0; k < 2000; ++k) {
+    int nl = 0;
+    if (k % 3 == 0) {
+      nl = 1 + static_cast<int>(rng.Uniform(6));
+      const int q = 1 + static_cast<int>(rng.Uniform(5));
+      right_cap.assign(q, 1);
+      right_cap.push_back(static_cast<int>(rng.Uniform(nl + 1)));  // na
+    } else if (k % 3 == 1) {
+      nl = 1 + static_cast<int>(rng.Uniform(5));
+      right_cap.assign(nl + 1 + rng.Uniform(3), 1);
+    } else {
+      const int nr = 1 + static_cast<int>(rng.Uniform(5));
+      right_cap.assign(nr, 1);
+      nl = nr + 1 + static_cast<int>(rng.Uniform(3));
+    }
+    weight.resize(nl * right_cap.size());
+    for (double& w : weight) w = kWeights[rng.Uniform(4)];
+    matcher.Solve(weight, right_cap);
+    matcher.MaxMarginals(&mu);
+    HashBytes(matcher.left_match().data(), nl * sizeof(int), &hash);
+    HashBytes(mu.data(), mu.size() * sizeof(double), &hash);
+  }
+  EXPECT_EQ(hash, kExpectedHash);
+}
 
 // ------------------------------------------------------------- Max flow
 

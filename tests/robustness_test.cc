@@ -4,6 +4,11 @@
 // real pages must never crash the HTML parser or the harvester, and the
 // engine must behave on degenerate corpora.
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "corpus/knowledge_base.h"
@@ -74,6 +79,69 @@ TEST_P(MutatedPageFuzzTest, MutatedRealPagesStillHarvest) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MutatedPageFuzzTest,
                          ::testing::Range(0, 25));
+
+/// Deepest node of the tree below `root` (root at depth 0), walked with
+/// an explicit stack so the measurement itself cannot overflow.
+size_t MaxDepth(const DomNode* root) {
+  size_t deepest = 0;
+  std::vector<std::pair<const DomNode*, size_t>> todo = {{root, 0}};
+  while (!todo.empty()) {
+    auto [node, depth] = todo.back();
+    todo.pop_back();
+    deepest = std::max(deepest, depth);
+    for (const auto& child : node->children()) {
+      todo.emplace_back(child.get(), depth + 1);
+    }
+  }
+  return deepest;
+}
+
+std::string Repeat(const std::string& piece, size_t times) {
+  std::string out;
+  out.reserve(piece.size() * times);
+  for (size_t i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+TEST(DeepNestingTest, MillionNestedDivsStayWithinTheDepthCap) {
+  // Every DOM walk recurses once per level; without the parser's cap a
+  // page like this overflows the stack in the walks and the destructor.
+  const size_t levels = 1000000;
+  const std::string html =
+      Repeat("<div>", levels) + "deep" + Repeat("</div>", levels);
+  {
+    Document doc = ParseHtml(html);
+    // The open elements, plus the leaves and the text under the last one.
+    EXPECT_EQ(MaxDepth(doc.root()), kMaxOpenElements + 1);
+    EXPECT_EQ(doc.root()->TextContent(), "deep");
+  }
+  EXPECT_TRUE(HarvestPage(html, "http://deep/1").empty());
+}
+
+TEST(DeepNestingTest, DeeplyNestedCellStillHarvests) {
+  const size_t levels = 300000;
+  const std::string html =
+      "<table><tr><th>name</th><th>value</th></tr><tr><td>" +
+      Repeat("<b>", levels) + "x" + Repeat("</b>", levels) +
+      "</td><td>1</td></tr><tr><td>y</td><td>2</td></tr></table>";
+  EXPECT_LE(MaxDepth(ParseHtml(html).root()), kMaxOpenElements + 1);
+  const std::vector<WebTable> tables = HarvestPage(html, "http://deep/2");
+  ASSERT_EQ(tables.size(), 1u);
+  EXPECT_EQ(tables[0].num_cols, 2);
+  ASSERT_EQ(tables[0].body.size(), 2u);
+  EXPECT_EQ(tables[0].body[0][0], "x");  // the text under the cap survives
+}
+
+TEST(DeepNestingTest, LongRunOfUnclosedTablesStaysWithinTheDepthCap) {
+  // Each unclosed table nests the next one inside its cell.
+  const std::string html = Repeat("<table><tr><td>", 100000) + "x";
+  EXPECT_LE(MaxDepth(ParseHtml(html).root()), kMaxOpenElements + 1);
+  for (const WebTable& t : HarvestPage(html, "http://deep/3")) {
+    for (const auto& row : t.body) {
+      EXPECT_EQ(static_cast<int>(row.size()), t.num_cols);
+    }
+  }
+}
 
 TEST(EngineRobustnessTest, EmptyCorpus) {
   TableStore store;

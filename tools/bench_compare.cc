@@ -1,11 +1,12 @@
 // Copyright 2026 The WWT Authors
 //
 // bench_compare — the CI perf-regression gate. Diffs a freshly written
-// bench_throughput JSON (WWT_BENCH_JSON) against the committed baseline
-// under bench/baseline/ and fails when a tracked metric regresses
-// beyond its tolerance, or when any correctness flag in the current run
-// is false. Refreshing the baseline is an explicit committed change,
-// never something CI does silently.
+// bench JSON (WWT_BENCH_JSON) against the committed baseline under
+// bench/baseline/ and fails when a tracked metric regresses beyond its
+// tolerance, or when any correctness flag in the current run is false.
+// The JSON's "bench" field picks the metrics: bench_throughput (the
+// default), bench_coldstart or bench_fig7_runtime. Refreshing a baseline
+// is an explicit committed change, never something CI does silently.
 //
 //   bench_compare --baseline FILE --current FILE [--warn-only]
 //
@@ -17,6 +18,9 @@
 //     hit_over_miss, shard_fanout vs_unsharded): regression when
 //     current < baseline * (1 - 0.3). Same-machine ratios are far more
 //     stable than raw QPS.
+//   * fig7's column-map cost, the ratio of its "Column Map" to its
+//     "1st Table Read" stage time (lower is better): regression when
+//     current > baseline * (1 + 0.3).
 //   * correctness flags (identical_to_serial, probe_sweep identical):
 //     must be true in the current run. A false flag fails the gate even
 //     under --warn-only — it means answers changed, not that the runner
@@ -28,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -205,6 +210,13 @@ class JsonParser {
 
 // ------------------------------------------------------------- gate
 
+std::optional<double> NumberOf(const JsonValue* value) {
+  if (value == nullptr || value->kind != JsonValue::Kind::kNumber) {
+    return std::nullopt;
+  }
+  return value->number;
+}
+
 // CI runners vary wildly run to run, so only a halving of an absolute
 // throughput number is actionable; same-machine ratios are much more
 // stable and get a tighter band.
@@ -223,23 +235,46 @@ struct Gate {
   // silently pass when a metric disappears).
   void Numeric(const std::string& name, const JsonValue* baseline,
                const JsonValue* current, double tolerance) {
-    if (baseline == nullptr ||
-        baseline->kind != JsonValue::Kind::kNumber) {
+    Compare(name, NumberOf(baseline), NumberOf(current), tolerance);
+  }
+
+  // Numeric() on values already in hand. With `lower_is_better` the
+  // regression is current rising above baseline * (1 + tolerance).
+  void Compare(const std::string& name, std::optional<double> baseline,
+               std::optional<double> current, double tolerance,
+               bool lower_is_better = false) {
+    if (!baseline) {
       std::printf("  %-44s (not in baseline; skipped)\n", name.c_str());
       return;
     }
-    if (current == nullptr || current->kind != JsonValue::Kind::kNumber) {
+    if (!current) {
       std::printf("  %-44s MISSING in current run\n", name.c_str());
       ++regressions;
       return;
     }
     ++compared;
-    const double floor = baseline->number * (1.0 - tolerance);
-    const bool regressed = current->number < floor;
-    std::printf("  %-44s %12.2f -> %12.2f  %s\n", name.c_str(),
-                baseline->number, current->number,
-                regressed ? "REGRESSED" : "ok");
+    bool regressed = *current < *baseline * (1.0 - tolerance);
+    if (lower_is_better) regressed = *current > *baseline * (1.0 + tolerance);
+    std::printf("  %-44s %12.2f -> %12.2f  %s\n", name.c_str(), *baseline,
+                *current, regressed ? "REGRESSED" : "ok");
     if (regressed) ++regressions;
+  }
+
+  // The summary line and the exit code for the tallies so far.
+  int Finish() const {
+    std::printf("bench_compare: %d metrics compared, %d regressed, "
+                "%d correctness failures\n",
+                compared, regressions, hard_failures);
+    if (hard_failures > 0) return 1;
+    if (regressions > 0) {
+      if (warn_only) {
+        std::printf("bench_compare: regressions tolerated (--warn-only)\n");
+        return 0;
+      }
+      return 1;
+    }
+    std::printf("bench_compare: gate passed\n");
+    return 0;
   }
 
   // A correctness flag must be true in the current run; the baseline
@@ -282,6 +317,16 @@ const JsonValue* MatchEntry(
 
 const JsonValue* Field(const JsonValue* object, const char* key) {
   return object == nullptr ? nullptr : object->Find(key);
+}
+
+// fig7's column-map ms over its first-table-read ms; none when either is
+// missing or the read took no time.
+std::optional<double> ColumnMapOverRead(const JsonValue& run) {
+  const JsonValue* stages = run.Find("stage_total_ms");
+  const std::optional<double> map = NumberOf(Field(stages, "Column Map"));
+  const std::optional<double> read = NumberOf(Field(stages, "1st Table Read"));
+  if (!map || !read || !(*read > 0)) return std::nullopt;
+  return *map / *read;
 }
 
 bool LoadJson(const char* path, JsonValue* out) {
@@ -341,10 +386,22 @@ int main(int argc, char** argv) {
               baseline_path);
 
   // Dispatch on the bench kind: bench_coldstart writes {"bench":
-  // "coldstart", ...}; everything else is the bench_throughput shape.
+  // "coldstart", ...}, bench_fig7_runtime {"bench": "fig7_runtime", ...};
+  // everything else is the bench_throughput shape.
   const JsonValue* kind = current.Find("bench");
-  if (kind != nullptr && kind->kind == JsonValue::Kind::kString &&
-      kind->str == "coldstart") {
+  std::string bench;
+  if (kind != nullptr && kind->kind == JsonValue::Kind::kString) {
+    bench = kind->str;
+  }
+  if (bench == "fig7_runtime") {
+    // Column map against the first table read of the same run: both
+    // scale with the machine, so the ratio tracks the mapper's own cost.
+    gate.Compare("column_map_over_table_read", ColumnMapOverRead(baseline),
+                 ColumnMapOverRead(current), kRatioTolerance,
+                 /*lower_is_better=*/true);
+    return gate.Finish();
+  }
+  if (bench == "coldstart") {
     // Answers served from the zero-copy load must match the built
     // corpus byte for byte — a false flag is a hard failure.
     gate.MustBeTrue("identical", current.Find("identical"));
@@ -362,20 +419,7 @@ int main(int argc, char** argv) {
       std::printf("  %-44s %12.0f -> %12.0f  (reported only)\n", "rss_kb",
                   rss_base->number, rss->number);
     }
-    std::printf("bench_compare: %d metrics compared, %d regressed, "
-                "%d correctness failures\n",
-                gate.compared, gate.regressions, gate.hard_failures);
-    if (gate.hard_failures > 0) return 1;
-    if (gate.regressions > 0) {
-      if (gate.warn_only) {
-        std::printf(
-            "bench_compare: regressions tolerated (--warn-only)\n");
-        return 0;
-      }
-      return 1;
-    }
-    std::printf("bench_compare: gate passed\n");
-    return 0;
+    return gate.Finish();
   }
 
   // Correctness first: if the current run's answers diverged from the
@@ -428,17 +472,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("bench_compare: %d metrics compared, %d regressed, "
-              "%d correctness failures\n",
-              gate.compared, gate.regressions, gate.hard_failures);
-  if (gate.hard_failures > 0) return 1;
-  if (gate.regressions > 0) {
-    if (gate.warn_only) {
-      std::printf("bench_compare: regressions tolerated (--warn-only)\n");
-      return 0;
-    }
-    return 1;
-  }
-  std::printf("bench_compare: gate passed\n");
-  return 0;
+  return gate.Finish();
 }
