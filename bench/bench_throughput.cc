@@ -183,7 +183,7 @@ int main() {
         WwtService::Create(options);
     WWT_CHECK(service.ok()) << service.status();
     (*service)->SwapCorpus(handle);
-    BatchResponse batch = (*service)->RunBatch(queries, t);
+    BatchResponse batch = (*service)->RunBatch(queries);
     for (size_t i = 0; i < queries.size(); ++i) {
       WWT_CHECK(batch.responses[i].ok()) << batch.responses[i].status;
       if (ResultDigest(batch.responses[i]) != serial_fp[i]) {

@@ -2,6 +2,8 @@
 
 #include "table/labels.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
+#include "wwt/api.h"
 
 namespace wwt {
 
@@ -24,43 +26,33 @@ EvalHarness::EvalHarness(const Corpus* corpus, EngineOptions engine_options,
       num_threads_(num_threads) {}
 
 std::vector<EvalCase> EvalHarness::BuildCases() {
-  std::vector<QueryRequest> requests;
-  requests.reserve(corpus_->queries.size());
-  for (const ResolvedQuery& rq : corpus_->queries) {
-    QueryRequest request;
+  const Status valid = ValidateEngineOptions(engine_options_);
+  WWT_CHECK(valid.ok()) << valid;
+  WWT_CHECK(num_threads_ >= 0) << "num_threads must be >= 0";
+
+  // Retrieve reads the shared corpus and only writes to its own result,
+  // so every worker probes through the one engine.
+  const WwtEngine engine(&corpus_->store, corpus_->index.get(),
+                         engine_options_);
+  const std::vector<ResolvedQuery>& queries = corpus_->queries;
+  std::vector<EvalCase> cases(queries.size());
+  ThreadPool pool(num_threads_ > 0 ? num_threads_
+                                   : ThreadPool::DefaultNumThreads());
+  ParallelFor(&pool, queries.size(), /*concurrency=*/0, [&](size_t i) {
+    const ResolvedQuery& rq = queries[i];
+    std::vector<std::string> columns;
     for (const QueryColumnSpec& col : rq.spec.columns) {
-      request.columns.push_back(col.keywords);
+      columns.push_back(col.keywords);
     }
-    request.tag = rq.spec.name;
-    request.retrieval_only = true;
-    requests.push_back(std::move(request));
-  }
-
-  ServiceOptions service_options;
-  service_options.engine = engine_options_;
-  service_options.num_threads = num_threads_;
-  StatusOr<std::unique_ptr<WwtService>> service =
-      WwtService::Create(std::move(service_options));
-  WWT_CHECK(service.ok()) << service.status();
-  (*service)->SwapCorpus(CorpusHandle::Borrow(corpus_));
-  BatchResponse batch = (*service)->RunBatch(std::move(requests));
-
-  std::vector<EvalCase> cases;
-  cases.reserve(batch.responses.size());
-  for (size_t i = 0; i < batch.responses.size(); ++i) {
-    QueryResponse& response = batch.responses[i];
-    WWT_CHECK(response.ok()) << response.status;
-    const ResolvedQuery& rq = corpus_->queries[i];
-    EvalCase c;
+    EvalCase& c = cases[i];
     c.resolved = rq;
-    c.query = std::move(response.query);
-    c.retrieval = std::move(response.retrieval);
+    c.query = Query::Parse(columns, engine.stats());
+    c.retrieval = engine.Retrieve(c.query, nullptr);
     for (const CandidateTable& table : c.retrieval.tables) {
       c.truth.push_back(TruthLabels(rq, corpus_->TruthFor(table.table.id),
                                     table.num_cols));
     }
-    cases.push_back(std::move(c));
-  }
+  });
   return cases;
 }
 

@@ -16,7 +16,6 @@
 #include "corpus/corpus_generator.h"
 #include "eval/metrics.h"
 #include "wwt/engine.h"
-#include "wwt/service.h"
 
 namespace wwt {
 
@@ -37,16 +36,16 @@ using MappingFn = std::function<MapResult(
 
 class EvalHarness {
  public:
-  /// `corpus` must outlive the harness. `num_threads` sizes the
-  /// WwtService used by BuildCases (0 = hardware concurrency; 1 =
-  /// fully serial).
+  /// `corpus` must outlive the harness. `num_threads` sizes the thread
+  /// pool BuildCases retrieves on (0 = hardware concurrency; 1 = fully
+  /// serial).
   EvalHarness(const Corpus* corpus, EngineOptions engine_options = {},
               int num_threads = 0);
 
-  /// Runs retrieval + truth labeling for every workload query, batched
-  /// through a retrieval-only WwtService batch. Results are
-  /// deterministic and identical to serial retrieval (case order
-  /// follows the workload order).
+  /// Runs WwtEngine::Retrieve + truth labeling for every workload query,
+  /// spread over a pool of `num_threads` workers that share one engine.
+  /// Results are deterministic and identical to serial retrieval (case
+  /// order follows the workload order).
   std::vector<EvalCase> BuildCases();
 
   /// Per-query F1 error of `method` over `cases`.

@@ -215,51 +215,6 @@ std::string EncodeFrame(std::string_view payload) {
   return w.TakeBuffer();
 }
 
-Status FrameDecoder::Feed(std::string_view bytes,
-                          std::vector<std::string>* frames) {
-  if (!error_.ok()) return error_;
-  buf_.append(bytes.data(), bytes.size());
-  for (;;) {
-    const size_t avail = buf_.size() - consumed_;
-    if (avail < sizeof(uint32_t)) break;
-    const char* p = buf_.data() + consumed_;
-    const uint32_t magic = LoadU32(p);
-    if (magic != kFrameMagic) {
-      error_ = Status::Corruption("bad frame magic ", magic);
-      return error_;
-    }
-    if (avail < kFrameHeaderBytes) break;
-    const uint32_t len = LoadU32(p + sizeof(uint32_t));
-    if (len > max_frame_bytes_) {
-      error_ = Status::Corruption("frame of ", len, " bytes exceeds cap ",
-                                  max_frame_bytes_);
-      return error_;
-    }
-    if (avail < kFrameHeaderBytes + len) break;
-    frames->emplace_back(buf_, consumed_ + kFrameHeaderBytes, len);
-    consumed_ += kFrameHeaderBytes + len;
-  }
-  // Compact once everything buffered has been consumed (the common
-  // whole-frames case) or the dead prefix grows past a page's worth.
-  if (consumed_ == buf_.size()) {
-    buf_.clear();
-    consumed_ = 0;
-  } else if (consumed_ >= 4096) {
-    buf_.erase(0, consumed_);
-    consumed_ = 0;
-  }
-  return Status::OK();
-}
-
-Status FrameDecoder::Finish() const {
-  if (!error_.ok()) return error_;
-  if (buffered() > 0) {
-    return Status::Corruption("truncated frame: stream ended with ",
-                              buffered(), " buffered bytes");
-  }
-  return Status::OK();
-}
-
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
     Close();
@@ -431,8 +386,7 @@ Status WriteFrame(const Socket& sock, std::string_view payload,
   return SendAll(sock.fd(), EncodeFrame(payload), deadline);
 }
 
-Status ReadFrame(const Socket& sock, std::string* payload, Deadline deadline,
-                 size_t max_frame_bytes) {
+Status ReadFrame(const Socket& sock, std::string* payload, Deadline deadline) {
   char header[kFrameHeaderBytes];
   bool clean_eof = false;
   WWT_RETURN_NOT_OK(
@@ -443,9 +397,9 @@ Status ReadFrame(const Socket& sock, std::string* payload, Deadline deadline,
     return Status::Corruption("bad frame magic ", magic);
   }
   const uint32_t len = LoadU32(header + sizeof(uint32_t));
-  if (len > max_frame_bytes) {
+  if (len > kDefaultMaxFrameBytes) {
     return Status::Corruption("frame of ", len, " bytes exceeds cap ",
-                              max_frame_bytes);
+                              kDefaultMaxFrameBytes);
   }
   payload->resize(len);
   return RecvExact(sock.fd(), payload->data(), len, deadline, nullptr);

@@ -1,9 +1,8 @@
 // Copyright 2026 The WWT Authors
 //
 // Length-prefixed frame transport for the shard RPC (docs/DISTRIBUTED.md):
-// blocking BSD sockets with poll(2)-based deadlines, plus a pure,
-// socket-free FrameDecoder so the corruption/fuzz suite can exercise the
-// exact byte-level parsing path without a peer.
+// blocking BSD sockets with poll(2)-based deadlines. ReadFrame is the one
+// frame parser; the corruption/fuzz suite drives it over a socketpair.
 //
 // Wire layout of one frame:
 //
@@ -23,7 +22,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/status.h"
 #include "util/statusor.h"
@@ -34,9 +32,10 @@ namespace wwt::net {
 inline constexpr uint32_t kFrameMagic = 0x52545757u;
 /// Magic + payload length.
 inline constexpr size_t kFrameHeaderBytes = 8;
-/// Default cap on one frame's payload. A length field beyond the cap is
-/// Corruption before any allocation happens — a garbage length can never
-/// drive a giant resize, mirroring serde::Reader::ReadString.
+/// Cap on one frame's payload, for reads and writes alike. A length field
+/// beyond the cap is Corruption before any allocation happens — a
+/// garbage length can never drive a giant resize, mirroring
+/// serde::Reader::ReadString.
 inline constexpr size_t kDefaultMaxFrameBytes = 64u << 20;
 
 /// Absolute deadlines on the steady clock; Deadline::max() = none.
@@ -52,35 +51,6 @@ bool IsCleanClose(const Status& status);
 
 /// [header][payload] ready to hand to a socket write.
 std::string EncodeFrame(std::string_view payload);
-
-/// Incremental frame parser over an arbitrary byte stream. Feed() bytes
-/// as they arrive and completed payloads append to `frames`; Finish()
-/// reports whether the stream ended at a frame boundary. Errors are
-/// sticky: after the first Corruption every later call returns it again
-/// (a stream is unrecoverable once desynced).
-class FrameDecoder {
- public:
-  explicit FrameDecoder(size_t max_frame_bytes = kDefaultMaxFrameBytes)
-      : max_frame_bytes_(max_frame_bytes) {}
-
-  /// Consumes `bytes`, appending every completed payload to `frames`.
-  /// Corruption on bad magic or an over-cap length.
-  [[nodiscard]] Status Feed(std::string_view bytes,
-                            std::vector<std::string>* frames);
-
-  /// Call at EOF: OK iff no partial frame is buffered, else Corruption
-  /// ("truncated frame").
-  [[nodiscard]] Status Finish() const;
-
-  /// Bytes of the partial frame currently buffered.
-  size_t buffered() const { return buf_.size() - consumed_; }
-
- private:
-  size_t max_frame_bytes_;
-  std::string buf_;
-  size_t consumed_ = 0;
-  Status error_;
-};
 
 /// RAII file descriptor for one connection. Move-only; closes on
 /// destruction. Shutdown() is safe to call from another thread while a
@@ -153,12 +123,12 @@ class Listener {
                                 Deadline deadline);
 
 /// Reads one frame into `*payload`. DeadlineExceeded if the peer goes
-/// quiet past `deadline`; Corruption on bad magic / over-cap length /
-/// EOF mid-frame; the distinguished clean-close status (IsCleanClose)
-/// when the peer closed at a frame boundary before sending anything.
+/// quiet past `deadline`; Corruption on bad magic / a length over
+/// kDefaultMaxFrameBytes / EOF mid-frame; the distinguished clean-close
+/// status (IsCleanClose) when the peer closed at a frame boundary before
+/// sending anything.
 [[nodiscard]] Status ReadFrame(const Socket& sock, std::string* payload,
-                               Deadline deadline,
-                               size_t max_frame_bytes = kDefaultMaxFrameBytes);
+                               Deadline deadline);
 
 }  // namespace wwt::net
 

@@ -236,8 +236,7 @@ StatusOr<std::vector<ScoredDoc>> RemoteShardClient::Search(
     Attempt attempt = std::move(active[static_cast<size_t>(ready)]);
     active.erase(active.begin() + ready);
     std::string payload;
-    Status read = ReadFrame(attempt.sock, &payload, effective,
-                            options_.max_frame_bytes);
+    Status read = ReadFrame(attempt.sock, &payload, effective);
     Status attempt_error = Status::OK();
     if (read.ok()) {
       StatusOr<MessageType> type = PeekMessageType(payload);
@@ -298,7 +297,7 @@ Status RemoteShardClient::Ping() const {
     }
     Socket sock = std::move(sent).value();
     std::string payload;
-    Status read = ReadFrame(sock, &payload, deadline, options_.max_frame_bytes);
+    Status read = ReadFrame(sock, &payload, deadline);
     if (read.ok()) {
       PingResponse pong;
       read = DecodePingResponse(payload, &pong);
@@ -326,8 +325,7 @@ Status RemoteShardClient::VerifyHello() const {
     }
     Socket sock = std::move(sent).value();
     std::string payload;
-    WWT_RETURN_NOT_OK(
-        ReadFrame(sock, &payload, deadline, options_.max_frame_bytes));
+    WWT_RETURN_NOT_OK(ReadFrame(sock, &payload, deadline));
     WWT_ASSIGN_OR_RETURN(MessageType type,
                          PeekMessageType(payload));
     if (type == MessageType::kError) {
@@ -410,43 +408,12 @@ StatusOr<std::unique_ptr<RemoteProbeSet>> RemoteProbeSet::Connect(
     }
   }
   return std::unique_ptr<RemoteProbeSet>(
-      new RemoteProbeSet(std::move(clients), options));
+      new RemoteProbeSet(std::move(clients)));
 }
 
 RemoteProbeSet::RemoteProbeSet(
-    std::vector<std::shared_ptr<RemoteShardClient>> clients,
-    RemoteProbeOptions options)
-    : clients_(std::move(clients)), options_(options) {
-  if (options_.health_interval_s > 0) {
-    monitor_ = std::thread([this] { MonitorLoop(); });
-  }
-}
-
-RemoteProbeSet::~RemoteProbeSet() {
-  {
-    MutexLock lock(mu_);
-    stop_ = true;
-  }
-  stop_cv_.NotifyAll();
-  if (monitor_.joinable()) monitor_.join();
-}
-
-void RemoteProbeSet::MonitorLoop() {
-  for (;;) {
-    {
-      // Wait first: Connect just hello-verified every endpoint.
-      MutexLock lock(mu_);
-      if (!stop_) stop_cv_.WaitFor(mu_, options_.health_interval_s);
-      if (stop_) return;
-    }
-    for (const std::shared_ptr<RemoteShardClient>& client : clients_) {
-      // Outcome lands in the client's healthy/last_error state; a dead
-      // worker also gets its stale pooled sockets purged on the next
-      // Search via the idle check.
-      (void)client->Ping();
-    }
-  }
-}
+    std::vector<std::shared_ptr<RemoteShardClient>> clients)
+    : clients_(std::move(clients)) {}
 
 std::vector<std::shared_ptr<const ShardProbe>> RemoteProbeSet::Probes() const {
   std::vector<std::shared_ptr<const ShardProbe>> probes;

@@ -8,10 +8,9 @@
 // engine: per-request deadline propagation (relative budget on the
 // wire), hedged retry against replica endpoints after a configurable
 // quiet period, connection pooling with reconnect on stale sockets, and
-// health state fed by live probe outcomes plus an optional background
-// ping thread. Every failure is a clean Status the engine's
-// ShardFailurePolicy can act on — never a crash, never a hang past the
-// caller's deadline.
+// health state fed by live Search and Ping outcomes. Every failure is a
+// clean Status the engine's ShardFailurePolicy can act on — never a
+// crash, never a hang past the caller's deadline.
 
 #ifndef WWT_NET_SHARD_CLIENT_H_
 #define WWT_NET_SHARD_CLIENT_H_
@@ -20,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "index/corpus_set.h"
@@ -41,11 +39,6 @@ struct RemoteProbeOptions {
   /// next replica while the earlier attempt keeps running (first answer
   /// wins). 0 = no hedging; irrelevant with one replica.
   double hedge_after_s = 0;
-  /// Background health-ping period. 0 = no monitor thread; health state
-  /// still tracks live Search/Ping outcomes.
-  double health_interval_s = 0;
-  /// Per-connection receive cap, forwarded to ReadFrame.
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// When true, RemoteProbeSet::Connect tolerates a worker that cannot
   /// be REACHED (it stays unhealthy; its shard degrades per the
   /// engine's ShardFailurePolicy, and reconnection is retried on every
@@ -160,11 +153,6 @@ class RemoteProbeSet {
       const std::vector<std::vector<std::string>>& replica_endpoints,
       const RemoteProbeOptions& options = {});
 
-  ~RemoteProbeSet();
-
-  RemoteProbeSet(const RemoteProbeSet&) = delete;
-  RemoteProbeSet& operator=(const RemoteProbeSet&) = delete;
-
   size_t num_shards() const { return clients_.size(); }
   const RemoteShardClient& client(size_t i) const { return *clients_[i]; }
 
@@ -176,18 +164,10 @@ class RemoteProbeSet {
   std::vector<RemoteShardStats> ShardStats() const;
 
  private:
-  RemoteProbeSet(std::vector<std::shared_ptr<RemoteShardClient>> clients,
-                 RemoteProbeOptions options);
-
-  void MonitorLoop();
+  explicit RemoteProbeSet(
+      std::vector<std::shared_ptr<RemoteShardClient>> clients);
 
   const std::vector<std::shared_ptr<RemoteShardClient>> clients_;
-  const RemoteProbeOptions options_;
-
-  Mutex mu_;
-  CondVar stop_cv_;
-  bool stop_ WWT_GUARDED_BY(mu_) = false;
-  std::thread monitor_;
 };
 
 }  // namespace wwt::net

@@ -10,6 +10,10 @@ namespace wwt::net {
 
 namespace {
 
+/// Budget for writing one reply frame to a stalled client before the
+/// connection is dropped.
+constexpr double kWriteTimeoutSeconds = 30.0;
+
 std::string HashHex(uint64_t hash) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -94,8 +98,7 @@ void ShardServer::AcceptLoop() {
 void ShardServer::ServeConnection(Socket* sock) {
   for (;;) {
     std::string payload;
-    const Status read =
-        ReadFrame(*sock, &payload, NoDeadline(), options_.max_frame_bytes);
+    const Status read = ReadFrame(*sock, &payload, NoDeadline());
     if (!read.ok()) {
       // Clean close is the normal end of a connection. Anything else —
       // bad magic, over-cap length, EOF mid-frame — desyncs the stream
@@ -105,8 +108,7 @@ void ShardServer::ServeConnection(Socket* sock) {
     }
     const auto arrival = std::chrono::steady_clock::now();
     const std::string reply = HandleMessage(payload, arrival);
-    if (!WriteFrame(*sock, reply, DeadlineAfter(options_.write_timeout_s))
-             .ok()) {
+    if (!WriteFrame(*sock, reply, DeadlineAfter(kWriteTimeoutSeconds)).ok()) {
       return;
     }
   }

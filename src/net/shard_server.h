@@ -8,7 +8,7 @@
 // accept loop: per-shard probes are CPU-bound index scans, so the
 // thread-per-connection model costs nothing next to the work itself.
 // Malformed frames and bodies are clean error replies or clean closes
-// (the FrameDecoder/decoder contract), never a crash; a probe whose
+// (the ReadFrame/decoder contract), never a crash; a probe whose
 // relative deadline budget is already spent answers DeadlineExceeded
 // without scanning. wwt_shardd is a thin CLI over this class; tests
 // embed it in-process.
@@ -35,11 +35,6 @@ struct ShardServerOptions {
   /// "host:port" (port 0 = kernel-assigned, see address()) or
   /// "unix:/path".
   std::string listen = "127.0.0.1:0";
-  /// Per-connection receive cap, forwarded to ReadFrame.
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Budget for writing one reply frame to a stalled client before the
-  /// connection is dropped.
-  double write_timeout_s = 30.0;
   /// Chaos injection for tests: sleep this long before answering each
   /// probe (after the deadline check, so an expired budget still fails
   /// fast). 0 = disabled.

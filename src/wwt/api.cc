@@ -265,7 +265,6 @@ uint64_t RequestFingerprint(const QueryRequest& request,
   uint64_t h = Fnv1a(CanonicalQueryKey(request.columns));
   h = HashCombine(h, EngineOptionsFingerprint(effective_options));
   h = HashCombine(h, corpus_content_hash);
-  h = HashCombine(h, request.retrieval_only ? 1 : 0);
   return FinalizeFingerprint(h);
 }
 

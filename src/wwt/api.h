@@ -48,10 +48,6 @@ struct QueryRequest {
   /// worker dequeues the request (not mid-pipeline).
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Stop after parse + two-phase retrieval: no column mapping or
-  /// consolidation (the evaluation-harness path, which maps the shared
-  /// candidate sets with every method itself).
-  bool retrieval_only = false;
 
   bool has_deadline() const {
     return deadline != std::chrono::steady_clock::time_point::max();
@@ -79,7 +75,7 @@ struct QueryRequest {
 };
 
 /// Everything the service returns for one request. When `status` is not
-/// OK the payload fields (query/retrieval/mapping/answer) are empty;
+/// OK the payload fields (retrieval/mapping/answer) are empty;
 /// tag, fingerprint (0 for invalid requests), timing and the queue/
 /// execute accounting are always filled as far as the request got.
 struct QueryResponse {
@@ -92,7 +88,6 @@ struct QueryResponse {
   /// content_hash of the corpus snapshot that served the request.
   uint64_t corpus_hash = 0;
 
-  Query query;
   RetrievalResult retrieval;
   MapResult mapping;
   AnswerTable answer;
@@ -214,8 +209,7 @@ constexpr uint64_t FinalizeFingerprint(uint64_t h) {
 /// The response-cache key: canonicalized columns + effective options +
 /// the serving corpus's content hash, finalized so it is never 0 (the
 /// invalid-request sentinel). Tag and deadline do not affect the answer
-/// and are excluded; retrieval_only is included (it changes the payload
-/// shape).
+/// and are excluded.
 uint64_t RequestFingerprint(const QueryRequest& request,
                             const EngineOptions& effective_options,
                             uint64_t corpus_content_hash);

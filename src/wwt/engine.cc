@@ -221,7 +221,8 @@ std::vector<CandidateTable> WwtEngine::ReadTables(
   return out;
 }
 
-RetrievalResult WwtEngine::Retrieve(const Query& query, StageTimer* timer) {
+RetrievalResult WwtEngine::Retrieve(const Query& query,
+                                    StageTimer* timer) const {
   StageTimer local;
   if (timer == nullptr) timer = &local;
   RetrievalResult result;

@@ -200,7 +200,9 @@ class WwtEngine {
 
   /// Retrieval only (used by the evaluation harness so every method maps
   /// the same candidate set). Timing lands in `timer` when non-null.
-  RetrievalResult Retrieve(const Query& query, StageTimer* timer);
+  /// Const and free of shared writes, so one engine may serve
+  /// concurrent callers.
+  RetrievalResult Retrieve(const Query& query, StageTimer* timer) const;
 
   const EngineOptions& options() const { return options_; }
   size_t num_shards() const { return shards_.size(); }

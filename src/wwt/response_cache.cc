@@ -285,15 +285,6 @@ size_t HeapOf(const CandidateTable& candidate) {
   return bytes;
 }
 
-size_t HeapOf(const Query& query) {
-  size_t bytes = HeapOf(query.all_keywords);
-  for (const QueryColumn& col : query.cols) {
-    bytes += sizeof(col) + HeapOf(col.raw) + HeapOf(col.terms) +
-             HeapOf(col.term_weight) + HeapOf(col.vec);
-  }
-  return bytes;
-}
-
 size_t HeapOf(const MapResult& mapping) {
   size_t bytes = 0;
   for (const TableMapping& tm : mapping.tables) {
@@ -315,7 +306,6 @@ size_t HeapOf(const AnswerTable& answer) {
 size_t ApproxResponseBytes(const QueryResponse& response) {
   size_t bytes = sizeof(response);
   bytes += HeapOf(response.tag);
-  bytes += HeapOf(response.query);
   bytes += response.retrieval.tables.size() * sizeof(CandidateTable);
   for (const CandidateTable& candidate : response.retrieval.tables) {
     bytes += HeapOf(candidate);

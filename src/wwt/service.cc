@@ -36,11 +36,6 @@ Status ValidateServiceOptions(const ServiceOptions& options) {
     return Status::InvalidArgument(
         "ServiceOptions::num_threads must be >= 0, got ", options.num_threads);
   }
-  if (options.shard_threads < 0) {
-    return Status::InvalidArgument(
-        "ServiceOptions::shard_threads must be >= 0, got ",
-        options.shard_threads);
-  }
   return ValidateResponseCacheOptions(options.cache);
 }
 
@@ -78,9 +73,7 @@ void WwtService::InstallCorpusLocked(
     // First multi-shard set: start the fan-out pool. Created once and
     // shared into every request that captures it, so a later swap back
     // to one shard (or teardown) can never yank it from under a probe.
-    shard_pool_ = std::make_shared<ThreadPool>(
-        options_.shard_threads > 0 ? options_.shard_threads
-                                   : ThreadPool::DefaultNumThreads());
+    shard_pool_ = std::make_shared<ThreadPool>(ThreadPool::DefaultNumThreads());
   }
   corpus_ = std::move(corpus);
   // Remote probes are bound to one corpus's shards: a swap detaches
@@ -250,12 +243,7 @@ void WwtService::StampCacheKey(QueryResponse* response,
 QueryResponse WwtService::ServeOn(const Serving& serving,
                                   const QueryRequest& request,
                                   double queue_seconds) const {
-  // Retrieval-only responses are never cached (diagnostic payload for
-  // the eval harness, not an answer); with no cache every request just
-  // executes.
-  if (cache_ == nullptr || request.retrieval_only) {
-    return ExecuteOn(serving, request, queue_seconds);
-  }
+  if (cache_ == nullptr) return ExecuteOn(serving, request, queue_seconds);
   const EngineOptions& effective =
       request.options.has_value() ? *request.options : options_.engine;
   const uint64_t key =
@@ -296,9 +284,9 @@ QueryResponse WwtService::ServeOn(const Serving& serving,
     // The canonical payload is caller-agnostic: no tag, no queue time,
     // and no stage timing (a hit does no stage work — copying the
     // leader's StageTimer would feed phantom pipeline seconds into
-    // BatchStats stage aggregation). query/answer keep the leader's
-    // raw keyword text: every key-equal request is canonically equal
-    // to it, so a hit may echo a whitespace/case variant of its input.
+    // BatchStats stage aggregation). The answer keeps the leader's raw
+    // keyword text: every key-equal request is canonically equal to
+    // it, so a hit may echo a whitespace/case variant of its input.
     QueryResponse canonical = response;
     canonical.tag.clear();
     canonical.queue_seconds = 0;
@@ -367,22 +355,15 @@ QueryResponse WwtService::ExecuteOn(const Serving& serving,
   // Remote probes bound their RPCs by the request deadline (max() =
   // none); local probes are not preempted (the PR-3 contract).
   engine.set_deadline(request.deadline);
-  if (request.retrieval_only) {
-    response.query = Query::Parse(request.columns, stats);
-    response.retrieval = engine.Retrieve(response.query, &response.timing);
-  } else {
-    QueryExecution execution = engine.Execute(request.columns);
-    response.query = std::move(execution.query);
-    response.retrieval = std::move(execution.retrieval);
-    response.mapping = std::move(execution.mapping);
-    response.answer = std::move(execution.answer);
-    response.timing = std::move(execution.timing);
-  }
+  QueryExecution execution = engine.Execute(request.columns);
+  response.retrieval = std::move(execution.retrieval);
+  response.mapping = std::move(execution.mapping);
+  response.answer = std::move(execution.answer);
+  response.timing = std::move(execution.timing);
   if (!response.retrieval.shard_status.ok()) {
     // A failed scatter-gather (kFail policy or a fully dead cluster):
     // the error contract says a non-OK response carries no payload.
     response.status = response.retrieval.shard_status;
-    response.query = Query{};
     response.retrieval = RetrievalResult{};
     response.mapping = MapResult{};
     response.answer = AnswerTable{};
@@ -393,15 +374,8 @@ QueryResponse WwtService::ExecuteOn(const Serving& serving,
   return response;
 }
 
-BatchResponse WwtService::RunBatch(std::vector<QueryRequest> requests,
-                                   int concurrency) {
+BatchResponse WwtService::RunBatch(std::vector<QueryRequest> requests) {
   const size_t n = requests.size();
-  int window = concurrency <= 0 || concurrency > pool_.num_threads()
-                   ? pool_.num_threads()
-                   : concurrency;
-  // Report the shard count actually used (never more than queries).
-  window = static_cast<int>(std::min<size_t>(window, n));
-
   // One serving set for the whole batch: a SwapCorpus racing the batch
   // affects only later batches/submissions, never mixes corpora here.
   Serving snapshot = CurrentServing();
@@ -409,45 +383,30 @@ BatchResponse WwtService::RunBatch(std::vector<QueryRequest> requests,
   BatchResponse out;
   out.responses.resize(n);
   std::vector<std::future<QueryResponse>> futures(n);
-  const size_t w = static_cast<size_t>(window);
 
+  // Everything is submitted at once: the pool itself caps what runs.
   WallTimer wall;
-  if (window >= pool_.num_threads()) {
-    // Full width: the pool itself is the concurrency cap.
-    for (size_t i = 0; i < n; ++i) {
-      futures[i] = SubmitOn(snapshot, std::move(requests[i]));
-    }
-    for (size_t i = 0; i < n; ++i) out.responses[i] = futures[i].get();
-  } else {
-    // Sliding window on top of Submit: collect the oldest before
-    // enqueueing the next, keeping at most `window` in flight. A slow
-    // head-of-line query can idle the tail of the window (the old
-    // ParallelFor claimed indices dynamically and could not); accepted
-    // because capping below the pool width is a testing knob — every
-    // production caller runs at full width, where the pool itself is
-    // the cap and this path is skipped.
-    for (size_t i = 0; i < n; ++i) {
-      if (i >= w) out.responses[i - w] = futures[i - w].get();
-      futures[i] = SubmitOn(snapshot, std::move(requests[i]));
-    }
-    for (size_t i = n > w ? n - w : 0; i < n; ++i) {
-      out.responses[i] = futures[i].get();
-    }
+  for (size_t i = 0; i < n; ++i) {
+    futures[i] = SubmitOn(snapshot, std::move(requests[i]));
   }
+  for (size_t i = 0; i < n; ++i) out.responses[i] = futures[i].get();
   const double wall_seconds = wall.ElapsedSeconds();
 
-  out.stats = BuildBatchStats(out.responses, window, wall_seconds);
+  // Report the workers actually used (never more than queries).
+  const int used = static_cast<int>(
+      std::min<size_t>(static_cast<size_t>(pool_.num_threads()), n));
+  out.stats = BuildBatchStats(out.responses, used, wall_seconds);
   return out;
 }
 
 BatchResponse WwtService::RunBatch(
-    const std::vector<std::vector<std::string>>& queries, int concurrency) {
+    const std::vector<std::vector<std::string>>& queries) {
   std::vector<QueryRequest> requests;
   requests.reserve(queries.size());
   for (const std::vector<std::string>& columns : queries) {
     requests.push_back(QueryRequest::Of(columns));
   }
-  return RunBatch(std::move(requests), concurrency);
+  return RunBatch(std::move(requests));
 }
 
 QueryResponse WwtService::Run(QueryRequest request) {

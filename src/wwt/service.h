@@ -53,13 +53,6 @@ struct ServiceOptions {
   EngineOptions engine;
   /// Worker threads; 0 = ThreadPool::DefaultNumThreads().
   int num_threads = 0;
-  /// Threads of the shard fan-out pool, which runs the per-shard index
-  /// probes of a multi-shard CorpusSet; 0 = DefaultNumThreads(). The
-  /// pool is created lazily on the first multi-shard SwapCorpus — a
-  /// service that only ever serves one shard never pays for it. It is a
-  /// pool of its own (not the request pool) so a request blocked on its
-  /// probes can never deadlock against other requests doing the same.
-  int shard_threads = 0;
   /// Fingerprint-keyed response cache; cache.capacity_bytes == 0 (the
   /// default) disables it. Because the corpus content hash is part of
   /// every key, SwapCorpus implicitly invalidates the whole cache —
@@ -73,8 +66,8 @@ struct ServiceOptions {
 };
 
 /// Rejects out-of-range ServiceOptions (engine fields via
-/// ValidateEngineOptions, negative num_threads/shard_threads, cache
-/// fields via ValidateResponseCacheOptions) with InvalidArgument.
+/// ValidateEngineOptions, a negative num_threads, cache fields via
+/// ValidateResponseCacheOptions) with InvalidArgument.
 Status ValidateServiceOptions(const ServiceOptions& options);
 
 /// A live snapshot of what the service is serving with — the operator
@@ -177,16 +170,14 @@ class WwtService {
   /// Synchronous convenience: Submit + get.
   QueryResponse Run(QueryRequest request);
 
-  /// Serves every request with at most `concurrency` (0 / out-of-range =
-  /// all pool threads) in flight, all on the corpus snapshot current at
-  /// the call — a SwapCorpus racing the batch never mixes corpora inside
-  /// it. Responses are in input order.
-  BatchResponse RunBatch(std::vector<QueryRequest> requests,
-                         int concurrency = 0);
+  /// Serves every request on the pool (its width caps what runs at
+  /// once), all on the corpus snapshot current at the call — a
+  /// SwapCorpus racing the batch never mixes corpora inside it.
+  /// Responses are in input order.
+  BatchResponse RunBatch(std::vector<QueryRequest> requests);
 
   /// Keyword-list convenience: one default request per column list.
-  BatchResponse RunBatch(const std::vector<std::vector<std::string>>& queries,
-                         int concurrency = 0);
+  BatchResponse RunBatch(const std::vector<std::vector<std::string>>& queries);
 
   int num_threads() const { return pool_.num_threads(); }
   const EngineOptions& engine_options() const { return options_.engine; }
@@ -301,8 +292,7 @@ class WwtService {
   /// The cache-aware serving path, executed on a pool worker: LRU hit,
   /// coalesced join onto an in-flight leader, or a led ExecuteOn whose
   /// result is published to the cache and every follower. Falls through
-  /// to plain ExecuteOn when the cache is disabled or the request is
-  /// never-cacheable (retrieval_only).
+  /// to plain ExecuteOn when the cache is disabled.
   QueryResponse ServeOn(const Serving& serving,
                         const QueryRequest& request,
                         double queue_seconds) const;
@@ -343,9 +333,14 @@ class WwtService {
   /// pointer handoff, never across pipeline work.
   mutable Mutex corpus_mu_;
   std::shared_ptr<const CorpusSet> corpus_ WWT_GUARDED_BY(corpus_mu_);
-  /// The shard fan-out pool; created under corpus_mu_ by the first
-  /// multi-shard SwapCorpus, then never replaced. Requests capture it
-  /// together with the set, so it outlives every probe that uses it.
+  /// The shard fan-out pool, ThreadPool::DefaultNumThreads() wide, which
+  /// runs the per-shard index probes of a multi-shard set. Created under
+  /// corpus_mu_ by the first multi-shard SwapCorpus (a service that only
+  /// ever serves one shard never pays for it), then never replaced.
+  /// Requests capture it together with the set, so it outlives every
+  /// probe that uses it. It is a pool of its own, not the request pool,
+  /// so a request blocked on its probes can never deadlock against
+  /// other requests doing the same.
   std::shared_ptr<ThreadPool> shard_pool_ WWT_GUARDED_BY(corpus_mu_);
   /// Attached remote shard probes; null = in-process. Reset on every
   /// SwapCorpus (probes are bound to one corpus's shards).

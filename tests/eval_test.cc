@@ -129,5 +129,49 @@ TEST(GroupsTest, FewerHardQueriesThanGroups) {
   EXPECT_EQ(hard_total, 1u);  // query 1 is easy (spread 0.2)
 }
 
+// ----------------------------------------------------------- EvalHarness
+
+TEST(EvalHarnessTest, BuildCasesMatchSerialRetrieve) {
+  // Every method is evaluated on these candidate sets, so they must be
+  // exactly serial WwtEngine::Retrieve's, at any thread count.
+  CorpusOptions options;
+  options.seed = 3;
+  options.scale = 0.25;
+  const Corpus corpus = GenerateCorpus(options);
+  ASSERT_FALSE(corpus.queries.empty());
+
+  WwtEngine engine(&corpus.store, corpus.index.get(), {});
+  std::vector<RetrievalResult> serial;
+  for (const ResolvedQuery& rq : corpus.queries) {
+    std::vector<std::string> columns;
+    for (const QueryColumnSpec& col : rq.spec.columns) {
+      columns.push_back(col.keywords);
+    }
+    serial.push_back(
+        engine.Retrieve(Query::Parse(columns, *corpus.index), nullptr));
+  }
+
+  for (int threads : {1, 4}) {
+    const std::vector<EvalCase> cases =
+        EvalHarness(&corpus, {}, threads).BuildCases();
+    ASSERT_EQ(cases.size(), serial.size());
+    for (size_t i = 0; i < cases.size(); ++i) {
+      const RetrievalResult& got = cases[i].retrieval;
+      const RetrievalResult& want = serial[i];
+      EXPECT_EQ(cases[i].resolved.spec.name, corpus.queries[i].spec.name);
+      ASSERT_EQ(got.tables.size(), want.tables.size())
+          << threads << " threads, query #" << i;
+      for (size_t t = 0; t < want.tables.size(); ++t) {
+        EXPECT_EQ(got.tables[t].table.id, want.tables[t].table.id)
+            << threads << " threads, query #" << i << " candidate " << t;
+      }
+      EXPECT_EQ(got.from_first_probe, want.from_first_probe);
+      EXPECT_EQ(got.new_from_second_probe, want.new_from_second_probe);
+      EXPECT_EQ(got.used_second_probe, want.used_second_probe);
+      EXPECT_EQ(cases[i].truth.size(), want.tables.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace wwt

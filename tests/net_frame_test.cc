@@ -11,11 +11,14 @@
 // NaN/denormal/infinity included), which is what keeps routed answers
 // byte-identical to in-process serving. Labels: unit.
 
+#include <sys/socket.h>
+
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,89 +34,134 @@ std::string Bytes(std::initializer_list<unsigned char> bytes) {
 }
 
 // ------------------------------------------------------------- framing
+//
+// ReadFrame is the one frame parser the server and the client run, so
+// the framing cases drive it directly: raw bytes go into one end of a
+// socketpair and ReadFrame reads the other.
 
-TEST(FrameDecoderTest, RoundTripsFramesFedByteByByte) {
+struct SocketPair {
+  Socket writer;
+  Socket reader;
+};
+
+SocketPair MakeSocketPair() {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {Socket(fds[0]), Socket(fds[1])};
+}
+
+/// Writes every byte of `bytes` (the socket buffer holds every case's
+/// input, so nothing here waits on the reader).
+void WriteRaw(const Socket& sock, std::string_view bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(sock.fd(), bytes.data(), bytes.size(),
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+}
+
+TEST(ReadFrameTest, RoundTripsFramesWrittenByteByByte) {
   const std::vector<std::string> payloads = {"", "a", "hello frame",
                                              std::string(4096, 'x')};
   std::string stream;
   for (const std::string& p : payloads) stream += EncodeFrame(p);
 
-  FrameDecoder decoder;
+  SocketPair pair = MakeSocketPair();
+  std::thread writer([&] {
+    for (char byte : stream) WriteRaw(pair.writer, std::string_view(&byte, 1));
+    pair.writer.Close();
+  });
   std::vector<std::string> frames;
-  for (char byte : stream) {
-    ASSERT_TRUE(decoder.Feed(std::string_view(&byte, 1), &frames).ok());
+  std::string payload;
+  Status read;
+  while ((read = ReadFrame(pair.reader, &payload, DeadlineAfter(10))).ok()) {
+    frames.push_back(payload);
   }
-  EXPECT_TRUE(decoder.Finish().ok());
-  EXPECT_EQ(decoder.buffered(), 0u);
+  writer.join();
+  EXPECT_TRUE(IsCleanClose(read)) << read.ToString();
   EXPECT_EQ(frames, payloads);
 }
 
-TEST(FrameDecoderTest, TruncatedLengthPrefixIsCorruption) {
+TEST(ReadFrameTest, TruncatedLengthPrefixIsCorruption) {
   // Magic plus half a length field, then EOF.
-  const std::string frame = EncodeFrame("payload");
-  FrameDecoder decoder;
-  std::vector<std::string> frames;
-  ASSERT_TRUE(decoder.Feed(frame.substr(0, 6), &frames).ok());
-  EXPECT_TRUE(frames.empty());
-  const Status finish = decoder.Finish();
-  EXPECT_TRUE(finish.IsCorruption()) << finish.ToString();
+  SocketPair pair = MakeSocketPair();
+  WriteRaw(pair.writer, EncodeFrame("payload").substr(0, 6));
+  pair.writer.Close();
+  std::string payload;
+  const Status read = ReadFrame(pair.reader, &payload, DeadlineAfter(10));
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
 }
 
-TEST(FrameDecoderTest, EofMidPayloadIsCorruption) {
+TEST(ReadFrameTest, EofMidPayloadIsCorruption) {
   const std::string frame = EncodeFrame("twelve bytes");
-  FrameDecoder decoder;
-  std::vector<std::string> frames;
-  ASSERT_TRUE(
-      decoder.Feed(frame.substr(0, frame.size() - 3), &frames).ok());
-  EXPECT_TRUE(frames.empty());
-  EXPECT_TRUE(decoder.Finish().IsCorruption());
+  SocketPair pair = MakeSocketPair();
+  WriteRaw(pair.writer, frame.substr(0, frame.size() - 3));
+  pair.writer.Close();
+  std::string payload;
+  const Status read = ReadFrame(pair.reader, &payload, DeadlineAfter(10));
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
 }
 
-TEST(FrameDecoderTest, BadMagicIsCorruptionAndSticky) {
-  FrameDecoder decoder;
-  std::vector<std::string> frames;
-  const Status first = decoder.Feed("GARBAGE!", &frames);
-  EXPECT_TRUE(first.IsCorruption()) << first.ToString();
-  // Errors are sticky: a desynced stream never recovers.
-  const Status second = decoder.Feed(EncodeFrame("fine"), &frames);
-  EXPECT_EQ(second, first);
-  EXPECT_TRUE(frames.empty());
+TEST(ReadFrameTest, BadMagicIsCorruption) {
+  SocketPair pair = MakeSocketPair();
+  WriteRaw(pair.writer, "GARBAGE!");
+  std::string payload;
+  const Status read = ReadFrame(pair.reader, &payload, DeadlineAfter(10));
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
 }
 
-TEST(FrameDecoderTest, TrailingGarbageAfterValidFrameIsCorruption) {
-  FrameDecoder decoder;
-  std::vector<std::string> frames;
-  const Status fed =
-      decoder.Feed(EncodeFrame("good") + "then junk bytes", &frames);
-  EXPECT_TRUE(fed.IsCorruption());
-  // The valid frame before the garbage was still delivered.
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0], "good");
+TEST(ReadFrameTest, TrailingGarbageAfterValidFrameIsCorruption) {
+  SocketPair pair = MakeSocketPair();
+  WriteRaw(pair.writer, EncodeFrame("good") + "then junk bytes");
+  pair.writer.Close();
+  std::string payload;
+  // The valid frame before the garbage is still delivered.
+  ASSERT_TRUE(ReadFrame(pair.reader, &payload, DeadlineAfter(10)).ok());
+  EXPECT_EQ(payload, "good");
+  const Status read = ReadFrame(pair.reader, &payload, DeadlineAfter(10));
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
 }
 
-TEST(FrameDecoderTest, OverCapLengthIsCorruptionBeforeAllocation) {
-  // Header advertising a 1 GiB payload against a 1 KiB cap: the error
-  // must fire from the 8 header bytes alone.
-  FrameDecoder decoder(/*max_frame_bytes=*/1024);
-  std::vector<std::string> frames;
+TEST(ReadFrameTest, OverCapLengthIsCorruptionBeforeAllocation) {
+  // A header advertising one byte past the cap, and no payload behind
+  // it. The writer stays open, so a reader that went on to allocate and
+  // read the payload would wait out the deadline; the error must fire
+  // from the 8 header bytes alone.
+  SocketPair pair = MakeSocketPair();
   std::string header = Bytes({0x57, 0x57, 0x54, 0x52});  // "WWTR" LE
-  const uint32_t huge = 1u << 30;
-  header.append(reinterpret_cast<const char*>(&huge), 4);
-  const Status fed = decoder.Feed(header, &frames);
-  EXPECT_TRUE(fed.IsCorruption()) << fed.ToString();
+  const uint32_t over = static_cast<uint32_t>(kDefaultMaxFrameBytes) + 1;
+  header.append(reinterpret_cast<const char*>(&over), 4);
+  WriteRaw(pair.writer, header);
+  std::string payload;
+  const Status read = ReadFrame(pair.reader, &payload, DeadlineAfter(10));
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
+  EXPECT_TRUE(payload.empty());
 }
 
-TEST(FrameDecoderTest, RandomBytesNeverCrash) {
+TEST(ReadFrameTest, RandomBytesNeverCrash) {
   std::mt19937 rng(20260808);
   for (int round = 0; round < 200; ++round) {
-    FrameDecoder decoder(/*max_frame_bytes=*/1 << 16);
-    std::vector<std::string> frames;
-    std::string noise(1 + rng() % 512, '\0');
-    for (char& c : noise) c = static_cast<char>(rng());
+    // Half the rounds open with the magic, so the length and payload
+    // paths see noise too, not just the magic check.
+    std::string noise = round % 2 == 0 ? "" : Bytes({0x57, 0x57, 0x54, 0x52});
+    const size_t extra = 1 + rng() % 512;
+    for (size_t i = 0; i < extra; ++i) {
+      noise.push_back(static_cast<char>(rng()));
+    }
+    SocketPair pair = MakeSocketPair();
+    WriteRaw(pair.writer, noise);
+    pair.writer.Close();
     // Either the noise happens to parse as frames or it is Corruption;
-    // both are fine — the property under test is "clean status, no UB".
-    (void)decoder.Feed(noise, &frames);
-    (void)decoder.Finish();
+    // the stream always ends, cleanly, within its own length in frames.
+    std::string payload;
+    Status read;
+    for (size_t frames = 0; frames <= noise.size(); ++frames) {
+      read = ReadFrame(pair.reader, &payload, DeadlineAfter(10));
+      if (!read.ok()) break;
+    }
+    EXPECT_TRUE(IsCleanClose(read) || read.IsCorruption())
+        << "round " << round << ": " << read.ToString();
   }
 }
 

@@ -103,12 +103,6 @@ TEST(ValidateServiceOptionsTest, RejectsBadEngineAndThreads) {
   Status status = ValidateServiceOptions(options);
   EXPECT_TRUE(status.IsInvalidArgument());
   EXPECT_NE(status.message().find("num_threads"), std::string::npos);
-
-  options = ServiceOptions{};
-  options.shard_threads = -1;
-  status = ValidateServiceOptions(options);
-  EXPECT_TRUE(status.IsInvalidArgument());
-  EXPECT_NE(status.message().find("shard_threads"), std::string::npos);
 }
 
 // Regression for the Borrow hash hole: a borrowed handle with hash 0
@@ -267,10 +261,6 @@ TEST(RequestFingerprintTest, StableAndSensitive) {
   // Different columns -> different fingerprint.
   EXPECT_NE(fp, RequestFingerprint(QueryRequest::Of({"country"}), options,
                                    0x1234));
-  // retrieval_only changes the payload shape, so it is part of the key.
-  QueryRequest retrieval = request;
-  retrieval.retrieval_only = true;
-  EXPECT_NE(fp, RequestFingerprint(retrieval, options, 0x1234));
 }
 
 TEST(RequestFingerprintTest, ZeroHashRemapsToTheReservedKey) {

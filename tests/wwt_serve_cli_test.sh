@@ -22,6 +22,8 @@
 #      values that are not whole, in-range numbers.
 #   7. A journal record that no live mutation could have written (an
 #      add of table id 0xFFFFFFFF) is refused at startup, file intact.
+#   8. Text output prints each query's execute_seconds (the sample the
+#      summary aggregates) and marks cache hits "(cached)".
 set -u
 
 INDEXER="${1:?usage: wwt_serve_cli_test.sh /path/to/wwt_indexer /path/to/wwt_serve}"
@@ -294,5 +296,31 @@ PY
   cmp -s "$TMP/hostile.wwtdlt" "$TMP/hostile.orig" \
     || fail "a refused journal was rewritten"
 fi
+
+# ---- 8. Text output of repeated queries. On one worker the second run
+# of each query is a cache hit; it is marked, and every line prints the
+# latency sample the summary aggregates, so the summary's p50 and p99
+# (nearest-rank, hence samples themselves) are among the printed values.
+printf '%s\ncountry | capital\n%s\ncountry | capital\n' "$QUERY" "$QUERY" \
+  >"$TMP/repeat.queries"
+"$SERVE" --snapshot "$TMP/tiny.wwtsnap" --queries "$TMP/repeat.queries" \
+  --threads 1 >"$TMP/repeat.out" 2>/dev/null \
+  || fail "repeated-query run failed"
+grep ' rows  ' "$TMP/repeat.out" >"$TMP/repeat.lines"
+[ "$(wc -l <"$TMP/repeat.lines")" -eq 4 ] \
+  || fail "expected 4 query lines: $(cat "$TMP/repeat.out")"
+[ "$(sed -n '1,2p' "$TMP/repeat.lines" | grep -c '(cached)')" -eq 0 ] \
+  || fail "a first run is marked cached: $(cat "$TMP/repeat.lines")"
+[ "$(sed -n '3,4p' "$TMP/repeat.lines" | grep -c '(cached)$')" -eq 2 ] \
+  || fail "repeated queries are not marked cached: $(cat "$TMP/repeat.lines")"
+awk '{ for (i = 1; i < NF; i++) if ($(i + 1) == "ms") print $i }' \
+  "$TMP/repeat.lines" >"$TMP/repeat.ms"
+P50="$(sed -n 's/^latency ms: .* p50 \([0-9.]*\) .*/\1/p' "$TMP/repeat.out")"
+P99="$(sed -n 's/^latency ms: .* p99 \([0-9.]*\)$/\1/p' "$TMP/repeat.out")"
+for v in "$P50" "$P99"; do
+  [ -n "$v" ] && grep -qx "$v" "$TMP/repeat.ms" \
+    || fail "summary latency '$v' ms is not a printed per-query value: \
+$(cat "$TMP/repeat.out")"
+done
 
 echo "wwt_serve_cli_test: PASS"

@@ -1,13 +1,12 @@
 // Copyright 2026 The WWT Authors
 //
 // WwtService over a real corpus: async Submit must be byte-identical to
-// serial WwtEngine::Execute, retrieval-only requests must return the
-// candidates of serial WwtEngine::Retrieve, per-request option
-// overrides must apply, deadlines must expire cleanly in the queue,
-// fingerprints must be stable per (request, corpus) and move with the
-// corpus hash, and — the hot-swap contract — a SwapCorpus racing an
-// in-flight RunBatch must leave the batch byte-identical on the old
-// snapshot while new submissions see the new one. The shared read
+// serial WwtEngine::Execute, per-request option overrides must apply,
+// deadlines must expire cleanly in the queue, fingerprints must be
+// stable per (request, corpus) and move with the corpus hash, and — the
+// hot-swap contract — a SwapCorpus racing an in-flight RunBatch must
+// leave the batch byte-identical on the old snapshot while new
+// submissions see the new one. The shared read
 // paths under the service (index, store, sparse vectors) must also hold
 // up under concurrent probing. Labeled "slow" (corpus builds); CI runs
 // it on pushes to main, the sanitizer job makes the race tests
@@ -116,7 +115,7 @@ TEST_F(WwtServiceCorpusTest, RunBatchKeepsBatchStats) {
   const Shared& s = GetShared();
   const auto queries = WorkloadQueries(s.corpus_a);
   auto service = ServiceOver(&s.corpus_a, kHashA, 2);
-  BatchResponse batch = service->RunBatch(queries, 2);
+  BatchResponse batch = service->RunBatch(queries);
 
   ASSERT_EQ(batch.responses.size(), queries.size());
   EXPECT_TRUE(batch.all_ok());
@@ -143,13 +142,12 @@ TEST_F(WwtServiceCorpusTest, RunBatchKeepsBatchStats) {
   EXPECT_NEAR(st.total_stage_time.Total(), summed, 1e-9);
   EXPECT_EQ(st.stage_latency[kStage1stIndex].count, queries.size());
 
-  // Concurrency beyond the pool width is clamped, not an error; the
-  // stats report the shards actually used (never more than queries).
-  EXPECT_EQ(service->RunBatch({{"country", "population"}}, 99)
-                .stats.concurrency,
+  // The stats report the workers actually used: never more than the
+  // pool width, and never more than queries.
+  EXPECT_EQ(service->RunBatch({{"country", "population"}}).stats.concurrency,
             1);
   std::vector<std::vector<std::string>> three(3, {"country"});
-  EXPECT_EQ(service->RunBatch(three, 99).stats.concurrency, 2);
+  EXPECT_EQ(service->RunBatch(three).stats.concurrency, 2);
 }
 
 TEST_F(WwtServiceCorpusTest, PerRequestOverrideAppliesAndChangesFingerprint) {
@@ -169,43 +167,6 @@ TEST_F(WwtServiceCorpusTest, PerRequestOverrideAppliesAndChangesFingerprint) {
   EXPECT_LT(limited.retrieval.tables.size(), base.retrieval.tables.size());
   // The effective options are part of the cache key.
   EXPECT_NE(limited.fingerprint, base.fingerprint);
-}
-
-TEST_F(WwtServiceCorpusTest, RetrievalOnlyMatchesSerialRetrieve) {
-  // Retrieval-only requests (the evaluation harness's path) skip
-  // mapping/consolidation and must return exactly the candidates of
-  // serial WwtEngine::Retrieve, for every workload query.
-  const Shared& s = GetShared();
-  const auto queries = WorkloadQueries(s.corpus_a);
-  ASSERT_FALSE(queries.empty());
-  WwtEngine engine(&s.corpus_a.store, s.corpus_a.index.get(), {});
-  auto service = ServiceOver(&s.corpus_a, kHashA, 4);
-
-  std::vector<std::future<QueryResponse>> futures;
-  for (const auto& q : queries) {
-    QueryRequest request = QueryRequest::Of(q);
-    request.retrieval_only = true;
-    futures.push_back(service->Submit(std::move(request)));
-  }
-  for (size_t i = 0; i < queries.size(); ++i) {
-    QueryResponse r = futures[i].get();
-    ASSERT_TRUE(r.ok()) << r.status;
-    RetrievalResult serial =
-        engine.Retrieve(Query::Parse(queries[i], *s.corpus_a.index), nullptr);
-    ASSERT_EQ(r.retrieval.tables.size(), serial.tables.size())
-        << "query #" << i;
-    for (size_t t = 0; t < serial.tables.size(); ++t) {
-      EXPECT_EQ(r.retrieval.tables[t].table.id, serial.tables[t].table.id)
-          << "query #" << i << " candidate " << t;
-    }
-    EXPECT_EQ(r.retrieval.used_second_probe, serial.used_second_probe);
-    EXPECT_TRUE(r.mapping.tables.empty());
-    EXPECT_TRUE(r.answer.rows.empty());
-    // retrieval_only changes the payload shape, so it changes the key.
-    EXPECT_NE(r.fingerprint,
-              RequestFingerprint(QueryRequest::Of(queries[i]),
-                                 service->engine_options(), kHashA));
-  }
 }
 
 TEST_F(WwtServiceCorpusTest, DeadlineCanExpireInTheQueue) {
@@ -253,7 +214,7 @@ TEST_F(WwtServiceCorpusTest, SwapCorpusRacingInFlightBatchIsByteIdentical) {
   // Launch the batch, then swap to corpus B while it is in flight.
   std::future<BatchResponse> batch_future =
       std::async(std::launch::async,
-                 [&] { return service->RunBatch(queries, 2); });
+                 [&] { return service->RunBatch(queries); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   service->SwapCorpus(CorpusHandle::Borrow(&s.corpus_b, kHashB));
 

@@ -105,7 +105,7 @@ TEST_F(WwtShardRaceTest, SwapOfWholeSetMidBatchIsAtomic) {
 
   std::future<BatchResponse> batch_future =
       std::async(std::launch::async,
-                 [&] { return (*service)->RunBatch(s.queries, 2); });
+                 [&] { return (*service)->RunBatch(s.queries); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   std::shared_ptr<const CorpusSet> set_b = SetB();
   const uint64_t hash_b = set_b->content_hash();

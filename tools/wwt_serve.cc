@@ -165,8 +165,12 @@ void PrintTextResponse(const wwt::QueryResponse& r) {
                 r.status.ToString().c_str());
     return;
   }
-  std::printf("%-40.40s %4zu rows  %7.1f ms%s\n", r.tag.c_str(),
-              r.answer.rows.size(), r.timing.Total() * 1e3,
+  // execute_seconds, not the stage timings: a cached payload carries no
+  // stage timing, and this is the sample the summary and the JSON
+  // latency_ms report.
+  std::printf("%-40.40s %4zu rows  %7.1f ms%s%s\n", r.tag.c_str(),
+              r.answer.rows.size(), r.execute_seconds * 1e3,
+              r.served_from_cache ? "  (cached)" : "",
               r.partial ? "  (partial: shard(s) down)" : "");
 }
 
