@@ -2,7 +2,7 @@
 //
 // Cold-start bench: the offline/online split, measured. Builds one
 // corpus (timed — the rebuild a cold start would otherwise pay), serves
-// the stored workload from it, saves it as a v4 (mmap-native) snapshot,
+// the stored workload from it, saves it as an mmap-native snapshot,
 // drops it, then times LoadSnapshot of the file. The load is an mmap +
 // O(nterms) structural validation, so it should beat the rebuild by
 // orders of magnitude. Answers served from the load are verified

@@ -4,11 +4,17 @@
 // part of the table the SegSim similarity consults (title, context,
 // per-row-per-column headers, frequent body tokens) tokenized once, plus
 // per-column content vectors for the cross-table overlap machinery.
+//
+// Build runs at query time for every candidate, so it is one pass over
+// each string's bytes: tokens arrive as views (Tokenizer::ForEachToken)
+// and are looked up in the vocabulary's slot table without a copy, and
+// the term sets are sorted id vectors (membership by binary search), not
+// hash sets.
 
 #ifndef WWT_CORE_CANDIDATE_H_
 #define WWT_CORE_CANDIDATE_H_
 
-#include <unordered_set>
+#include <algorithm>
 #include <vector>
 
 #include "index/table_index.h"
@@ -28,7 +34,8 @@ struct CandidateColumn {
   SparseVector content_vec;
   /// Tokens appearing in a large fraction of the column's cells — the
   /// "frequent content" part B of outSim (the "Black metal" signal).
-  std::unordered_set<TermId> frequent_terms;
+  /// Sorted, distinct.
+  std::vector<TermId> frequent_terms;
 };
 
 /// A candidate web table ready for mapping.
@@ -38,11 +45,18 @@ struct CandidateTable {
   int num_cols = 0;
   int num_header_rows = 0;
   std::vector<CandidateColumn> cols;
-  std::unordered_set<TermId> title_terms;    // part T
-  std::unordered_set<TermId> context_terms;  // part C
+  // The term sets below are sorted and distinct; test membership with
+  // Contains().
+  std::vector<TermId> title_terms;    // part T
+  std::vector<TermId> context_terms;  // part C
   /// Union of all columns' frequent terms (part B is defined over "some
   /// column of t").
-  std::unordered_set<TermId> frequent_terms_all;
+  std::vector<TermId> frequent_terms_all;
+
+  /// Membership in one of the sorted term sets.
+  static bool Contains(const std::vector<TermId>& terms, TermId t) {
+    return std::binary_search(terms.begin(), terms.end(), t);
+  }
 
   /// Tokenizes and vectorizes `table` against the corpus statistics (a
   /// TableIndex, or a CorpusSet's global stats view — identical vectors

@@ -25,8 +25,10 @@ double FeatureComputer::OutSim(const QueryColumn& ql, size_t s_begin,
   for (size_t i = s_begin; i < s_end; ++i) {
     const TermId w = ql.terms[i];
     double miss = 1.0;  // product of (1 - p_i) over parts containing w
-    if (t.title_terms.count(w)) miss *= 1.0 - p.title;
-    if (t.context_terms.count(w)) miss *= 1.0 - p.context;
+    if (CandidateTable::Contains(t.title_terms, w)) miss *= 1.0 - p.title;
+    if (CandidateTable::Contains(t.context_terms, w)) {
+      miss *= 1.0 - p.context;
+    }
     // Hc: other header rows of this column.
     for (int r2 = 0; r2 < t.num_header_rows; ++r2) {
       if (r2 == r) continue;
@@ -45,7 +47,9 @@ double FeatureComputer::OutSim(const QueryColumn& ql, size_t s_begin,
         break;
       }
     }
-    if (t.frequent_terms_all.count(w)) miss *= 1.0 - p.frequent_body;
+    if (CandidateTable::Contains(t.frequent_terms_all, w)) {
+      miss *= 1.0 - p.frequent_body;
+    }
 
     const double ti2 = ql.term_weight[i] * ql.term_weight[i];
     out += ti2 / norm_s * (1.0 - miss);

@@ -1,5 +1,8 @@
 #include "core/query.h"
 
+#include <optional>
+#include <string_view>
+
 namespace wwt {
 
 Query Query::Parse(const std::vector<std::string>& col_keywords,
@@ -8,15 +11,15 @@ Query Query::Parse(const std::vector<std::string>& col_keywords,
   for (const std::string& raw : col_keywords) {
     QueryColumn col;
     col.raw = raw;
-    for (const std::string& tok : stats.tokenizer().Tokenize(raw)) {
-      if (Tokenizer::IsStopword(tok)) continue;
-      auto id = stats.vocab().Find(tok);
-      if (!id) continue;  // unseen in corpus: cannot match anything
+    stats.tokenizer().ForEachToken(raw, [&](std::string_view tok) {
+      if (Tokenizer::IsStopword(tok)) return;
+      std::optional<TermId> id = stats.vocab().Find(tok);
+      if (!id) return;  // unseen in corpus: cannot match anything
       col.terms.push_back(*id);
       double w = stats.idf().Idf(*id);
       col.term_weight.push_back(w);
       col.vec.Add(*id, w);
-    }
+    });
     col.vec.Compact();
     col.norm_squared = col.vec.NormSquared();
     query.cols.push_back(std::move(col));

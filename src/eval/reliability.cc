@@ -48,8 +48,8 @@ PartReliability EstimateReliability(const std::vector<EvalCase>& cases,
           bool in_title = false, in_context = false, in_other_row = false,
                in_other_col = false, in_body = false;
           for (TermId term : ql.terms) {
-            if (table.title_terms.count(term)) in_title = true;
-            if (table.context_terms.count(term)) in_context = true;
+            in_title |= CandidateTable::Contains(table.title_terms, term);
+            in_context |= CandidateTable::Contains(table.context_terms, term);
             if (InAnyHeaderRow(table.cols[col], term, -1) &&
                 table.num_header_rows > 1) {
               // Token present in some header row of this column; a
@@ -62,7 +62,7 @@ PartReliability EstimateReliability(const std::vector<EvalCase>& cases,
                 in_other_col = true;
               }
             }
-            if (table.frequent_terms_all.count(term)) in_body = true;
+            in_body |= CandidateTable::Contains(table.frequent_terms_all, term);
           }
           if (in_title) {
             ++counts.title_hits;

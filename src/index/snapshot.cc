@@ -186,7 +186,8 @@ class SnapshotCodec {
     w->WriteU64(index.doc_count_);
     w->WriteU32(index.idf_.num_docs());
 
-    // Vocabulary: offsets + lexicographic search permutation + blob.
+    // Vocabulary: offsets + slot table + blob. Both modes hold the
+    // table the format defines (vocabulary.h), so it is written as is.
     w->AlignTo(8, kHeaderBytes);
     uint64_t off = 0;
     for (TermId t = 0; t < nterms; ++t) {
@@ -194,13 +195,10 @@ class SnapshotCodec {
       off += vocab.Term(t).size();
     }
     w->WriteU64(off);
-    std::vector<uint32_t> perm(nterms);
-    for (uint64_t i = 0; i < nterms; ++i) perm[i] = static_cast<uint32_t>(i);
-    std::sort(perm.begin(), perm.end(), [&vocab](uint32_t a, uint32_t b) {
-      return vocab.Term(a) < vocab.Term(b);
-    });
+    const uint64_t nslots = vocab.num_slots();
+    w->WriteU64(nslots);
     w->AlignTo(8, kHeaderBytes);
-    for (uint32_t p : perm) w->WriteU32(p);
+    for (uint64_t s = 0; s < nslots; ++s) w->WriteU32(vocab.Slots()[s]);
     for (TermId t = 0; t < nterms; ++t) {
       const std::string_view term = vocab.Term(t);
       w->WriteBytes(term.data(), term.size());
@@ -265,13 +263,13 @@ class SnapshotCodec {
   /// Installs mapped views (vocabulary, df table, postings, scoring
   /// layout) pointing straight into the file mapping. Validation is
   /// O(#terms) STRUCTURAL — offset tables monotone and in-bounds,
-  /// permutation entries in range, block counts consistent — which is
-  /// exactly what the probe loops and view slicing rely on for memory
-  /// safety. Payload VALUES (doc ids inside blobs, scores) are not
-  /// audited: a tampered file can serve wrong answers, never an
-  /// out-of-bounds read (store lookups bounds-check, WAND only compares
-  /// doc values). `base` is the section body's absolute file offset, the
-  /// anchor the AlignTo markers are verified against.
+  /// vocabulary slots in range with at least one empty, block counts
+  /// consistent — which is exactly what the probe loops and view slicing
+  /// rely on for memory safety. Payload VALUES (doc ids inside blobs,
+  /// scores) are not audited: a tampered file can serve wrong answers,
+  /// never an out-of-bounds read (store lookups bounds-check, WAND only
+  /// compares doc values). `base` is the section body's absolute file
+  /// offset, the anchor the AlignTo markers are verified against.
   static Status ReadIndex(serde::Reader* r, size_t base,
                           std::unique_ptr<TableIndex>* out) {
     IndexOptions opt;
@@ -306,26 +304,43 @@ class SnapshotCodec {
     }
     const char* raw;
 
-    // Vocabulary: offsets + search permutation + term blob.
+    // Vocabulary: offsets + slot table + term blob. Every slot must be
+    // empty or a term id, and one must be empty, so a probe stays in
+    // range and ends.
     WWT_RETURN_NOT_OK(r->AlignTo(8, base));
     WWT_RETURN_NOT_OK(r->ReadRaw(nterms + 1, sizeof(uint64_t), &raw));
     const uint64_t* vocab_offsets = reinterpret_cast<const uint64_t*>(raw);
     uint64_t vocab_blob_size;
     WWT_RETURN_NOT_OK(ValidateOffsets(vocab_offsets, nterms, "vocabulary",
                                       &vocab_blob_size));
+    uint64_t nslots;
+    WWT_RETURN_NOT_OK(r->ReadU64(&nslots));
+    if (nslots != Vocabulary::SlotCountFor(nterms)) {
+      return Status::Corruption("vocabulary slot table of ", nslots,
+                                " slots, want ",
+                                Vocabulary::SlotCountFor(nterms), " for ",
+                                nterms, " terms");
+    }
     WWT_RETURN_NOT_OK(r->AlignTo(8, base));
-    WWT_RETURN_NOT_OK(r->ReadRaw(nterms, sizeof(uint32_t), &raw));
-    const uint32_t* sorted = reinterpret_cast<const uint32_t*>(raw);
-    for (uint64_t i = 0; i < nterms; ++i) {
-      if (sorted[i] >= nterms) {
-        return Status::Corruption("vocabulary search permutation entry ", i,
-                                  " is out of range");
+    WWT_RETURN_NOT_OK(r->ReadRaw(nslots, sizeof(uint32_t), &raw));
+    const uint32_t* slots = reinterpret_cast<const uint32_t*>(raw);
+    bool any_empty = false;
+    for (uint64_t s = 0; s < nslots; ++s) {
+      if (slots[s] == Vocabulary::kEmptySlot) {
+        any_empty = true;
+      } else if (slots[s] >= nterms) {
+        return Status::Corruption("vocabulary slot ", s, " holds term id ",
+                                  slots[s], " of ", nterms);
       }
+    }
+    if (!any_empty) {
+      return Status::Corruption("vocabulary slot table has no empty slot");
     }
     const char* vocab_blob;
     WWT_RETURN_NOT_OK(r->ReadRaw(vocab_blob_size, 1, &vocab_blob));
     index->vocab_.m_offsets_ = vocab_offsets;
-    index->vocab_.m_sorted_ = sorted;
+    index->vocab_.m_slots_ = slots;
+    index->vocab_.m_num_slots_ = nslots;
     index->vocab_.m_blob_ = vocab_blob;
     index->vocab_.m_size_ = static_cast<size_t>(nterms);
 

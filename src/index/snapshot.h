@@ -34,16 +34,19 @@
 namespace wwt {
 
 /// Bump on ANY change to the header or a section layout. Loaders accept
-/// exactly this version; CI cache keys embed it. v4 is the zero-copy
-/// layout: STOR and INDX store 8-byte-aligned offset tables and raw
+/// exactly this version; CI cache keys embed it. v4 introduced the
+/// zero-copy layout: STOR and INDX store 8-byte-aligned offset tables and raw
 /// arrays (store records, vocabulary, df table, docs-only varint
 /// postings, the full scoring layout including block metadata) that the
 /// loader reads IN PLACE from the file mapping — no per-element decode,
 /// no heap materialization, no payload checksum pass (the header
 /// checksum is computed at save time and serves as the content hash;
 /// load validates structure in O(#terms)). A loaded corpus is immutable
-/// and pins its mapping via Corpus::mapping.
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+/// and pins its mapping via Corpus::mapping. v5 replaces v4's sorted
+/// vocabulary permutation with the vocabulary's open-addressing slot
+/// table (text/vocabulary.h), so a mapped lookup is a hash probe, not a
+/// binary search.
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// First 8 bytes of every snapshot file.
 inline constexpr char kSnapshotMagic[8] = {'W', 'W', 'T', 'S',

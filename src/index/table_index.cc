@@ -122,36 +122,38 @@ size_t TableIndex::HeapBytes() const {
   bytes += scoring_.block_max.capacity() * sizeof(double);
   bytes += scoring_.term_max.capacity() * sizeof(double);
   if (!vocab_.mapped()) {
-    for (TermId t = 0; t < vocab_.size(); ++t) {
-      // Term bytes counted twice: once in the term vector, once as the
-      // hash-map key (plus untracked node overhead — this is an
-      // estimate, not an audit).
-      bytes += 2 * vocab_.Term(t).size() + sizeof(TermId);
-    }
+    // The term bytes plus the slot table (an estimate, not an audit:
+    // string headers and allocator slack go uncounted).
+    for (TermId t = 0; t < vocab_.size(); ++t) bytes += vocab_.Term(t).size();
+    bytes += vocab_.num_slots() * sizeof(uint32_t);
   }
   if (!idf_.mapped()) bytes += vocab_.size() * sizeof(uint32_t);
   return bytes;
 }
 
 std::vector<TermId> TableIndex::TermsOf(const std::string& text) {
-  return vocab_.InternAll(tokenizer_.Tokenize(text));
+  std::vector<TermId> out;
+  tokenizer_.ForEachToken(text, [this, &out](std::string_view tok) {
+    out.push_back(vocab_.Intern(tok));
+  });
+  return out;
 }
 
 std::vector<TermId> TableIndex::QueryTerms(
     const std::vector<std::string>& keywords, bool keep_unknown) const {
   std::vector<TermId> out;
   for (const std::string& kw : keywords) {
-    for (const std::string& tok : tokenizer_.Tokenize(kw)) {
+    tokenizer_.ForEachToken(kw, [&](std::string_view tok) {
       if (options_.drop_query_stopwords && Tokenizer::IsStopword(tok)) {
-        continue;
+        return;
       }
-      auto id = vocab_.Find(tok);
+      std::optional<TermId> id = vocab_.Find(tok);
       if (id) {
         out.push_back(*id);
       } else if (keep_unknown) {
         out.push_back(kInvalidTerm);
       }
-    }
+    });
   }
   return out;
 }

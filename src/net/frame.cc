@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cstring>
@@ -23,6 +24,10 @@ namespace {
 
 /// The one clean-EOF message; IsCleanClose matches on it.
 constexpr char kCleanCloseMessage[] = "connection closed by peer";
+
+/// ReadFrame grows a payload by at most this much ahead of the bytes
+/// received.
+constexpr size_t kRecvChunkBytes = 64u << 10;
 
 /// strerror returns a mutable char* — re-point it at the const overload
 /// Status::Concat knows how to append.
@@ -401,8 +406,22 @@ Status ReadFrame(const Socket& sock, std::string* payload, Deadline deadline) {
     return Status::Corruption("frame of ", len, " bytes exceeds cap ",
                               kDefaultMaxFrameBytes);
   }
-  payload->resize(len);
-  return RecvExact(sock.fd(), payload->data(), len, deadline, nullptr);
+  // Grow the payload one chunk at a time as its bytes arrive, so a peer
+  // that announces a large frame and then stalls pins one chunk, not
+  // the frame.
+  payload->clear();
+  while (payload->size() < len) {
+    const size_t got = payload->size();
+    payload->resize(got + std::min<size_t>(len - got, kRecvChunkBytes));
+    const Status read = RecvExact(sock.fd(), payload->data() + got,
+                                  payload->size() - got, deadline, nullptr);
+    if (read.IsCorruption()) {  // EOF inside this chunk
+      return Status::Corruption("truncated frame: peer closed before byte ",
+                                payload->size(), " of ", len);
+    }
+    WWT_RETURN_NOT_OK(read);
+  }
+  return Status::OK();
 }
 
 }  // namespace wwt::net

@@ -40,7 +40,7 @@ class UniformIdf : public IdfProvider {
 /// finite and make the function monotone in N.
 ///
 /// The df table either lives on the heap (build mode) or is a view into
-/// a memory-mapped v4 snapshot (immutable). Copying a mapped dictionary
+/// a memory-mapped snapshot (immutable). Copying a mapped dictionary
 /// materializes the table, so a copy never dangles into a mapping it
 /// does not own (the sharding path copies global IDF into every shard).
 class IdfDictionary : public IdfProvider {

@@ -1,100 +1,135 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-#include <unordered_set>
-
-#include "util/string_util.h"
+#include <algorithm>
+#include <cstring>
+#include <iterator>
 
 namespace wwt {
 
 namespace {
-const std::unordered_set<std::string>& StopwordSet() {
-  static const std::unordered_set<std::string>* kSet =
-      new std::unordered_set<std::string>{
-          "a",  "an",  "and", "are", "as",   "at",   "be",  "by",  "for",
-          "from", "has", "he",  "in", "is",  "it",   "its", "of",  "on",
-          "or", "that", "the", "to", "was", "were", "will", "with"};
-  return *kSet;
+
+/// Sorted, for binary search.
+constexpr std::string_view kStopwords[] = {
+    "a",  "an",  "and", "are", "as",   "at",   "be",  "by",  "for",
+    "from", "has", "he",  "in", "is",  "it",   "its", "of",  "on",
+    "or", "that", "the", "to", "was", "were", "will", "with"};
+constexpr size_t kMaxStopwordLength = 4;
+
+constexpr bool StopwordListValid() {
+  for (size_t i = 0; i < std::size(kStopwords); ++i) {
+    if (kStopwords[i].size() > kMaxStopwordLength) return false;
+    if (i > 0 && !(kStopwords[i - 1] < kStopwords[i])) return false;
+  }
+  return true;
 }
+static_assert(StopwordListValid(),
+              "kStopwords must stay sorted and within kMaxStopwordLength");
+
+bool InStopwordList(std::string_view token) {
+  return std::binary_search(std::begin(kStopwords), std::end(kStopwords),
+                            token);
+}
+
+bool IsAsciiAlnum(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') ||
+         (c >= 'A' && c <= 'Z');
+}
+
+char AsciiLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
+/// True if the first `n` bytes of `s` end with the literal `suffix`.
+template <size_t N>
+bool EndsWith(const char* s, size_t n, const char (&suffix)[N]) {
+  return n >= N - 1 && std::memcmp(s + n - (N - 1), suffix, N - 1) == 0;
+}
+
+/// Porter-lite stemming of the `n` bytes at `s`, in place; returns the
+/// stem's length. Correctness requirement is consistency, not linguistic
+/// beauty: the same rules run on page text and on queries, so
+/// "explored", "exploring" and "Exploration" all land on "explor" and
+/// match each other (the paper's Fig. 1 Table 2 depends on this).
+size_t Stem(char* s, size_t n) {
+  // Step 1: plurals. "sses" -> "ss"; "ies" -> "i" (cities -> citi,
+  // pairs with the y->i rule below); "ses"/"xes"/"zes" and
+  // "ches"/"shes" drop "es"; otherwise a plural "s" goes, except in
+  // "...ss" (glass) and "...us" (status).
+  if (n >= 3) {
+    if (EndsWith(s, n, "sses") || (n > 3 && EndsWith(s, n, "ies")) ||
+        (n > 4 && (EndsWith(s, n, "ses") || EndsWith(s, n, "xes") ||
+                   EndsWith(s, n, "zes"))) ||
+        (n > 5 && (EndsWith(s, n, "ches") || EndsWith(s, n, "shes")))) {
+      n -= 2;
+    } else if (s[n - 1] == 's' && s[n - 2] != 's' && s[n - 2] != 'u') {
+      n -= 1;
+    }
+  }
+  // Step 2: derivational/inflectional suffixes (stem must stay >= 4).
+  if (n >= 9 && EndsWith(s, n, "ation")) {
+    n -= 5;
+  } else if (n >= 7 && EndsWith(s, n, "ing")) {
+    n -= 3;
+  } else if (n >= 6 && EndsWith(s, n, "ed")) {
+    n -= 2;
+  }
+  // Step 3: terminal-letter normalization so singular/derived forms
+  // collide ("city"/"citi", "release"/"releas").
+  if (n >= 3 && s[n - 1] == 'y') s[n - 1] = 'i';
+  if (n >= 4 && s[n - 1] == 'e') --n;
+  return n;
+}
+
 }  // namespace
 
 Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
 
 bool Tokenizer::IsStopword(std::string_view word) {
-  return StopwordSet().count(ToLower(word)) > 0;
+  if (word.size() > kMaxStopwordLength) return false;
+  char lower[kMaxStopwordLength];
+  for (size_t i = 0; i < word.size(); ++i) lower[i] = AsciiLower(word[i]);
+  return InStopwordList(std::string_view(lower, word.size()));
 }
 
-std::string Tokenizer::Normalize(std::string_view raw) const {
-  std::string tok(raw);
-  if (options_.lowercase) tok = ToLower(tok);
-  if (options_.strip_possessive && tok.size() > 2 &&
-      EndsWith(tok, "'s")) {
-    tok.resize(tok.size() - 2);
-  }
-  if (!options_.stem_plurals) return tok;
+void Tokenizer::Scan(std::string_view text, void* fn,
+                     void (*sink)(void* fn, std::string_view token)) const {
+  std::string buf;  // the current token, reused
+  const size_t n = text.size();
+  size_t i = 0;
+  while (i < n) {
+    while (i < n && !IsAsciiAlnum(text[i])) ++i;
+    // A word is a run of alphanumerics; an apostrophe followed by one
+    // stays inside it, so possessive stripping can see it.
+    const size_t start = i;
+    while (i < n &&
+           (IsAsciiAlnum(text[i]) ||
+            (text[i] == '\'' && i + 1 < n && IsAsciiAlnum(text[i + 1])))) {
+      ++i;
+    }
+    if (i == start) break;
 
-  // Porter-lite stemming. Correctness requirement is consistency, not
-  // linguistic beauty: the same rules run on page text and on queries, so
-  // "explored", "exploring" and "Exploration" all land on "explor" and
-  // match each other (the paper's Fig. 1 Table 2 depends on this).
-  // Step 1: plurals.
-  if (tok.size() >= 3) {
-    if (EndsWith(tok, "sses")) {
-      tok.resize(tok.size() - 2);
-    } else if (EndsWith(tok, "ies") && tok.size() > 3) {
-      tok.resize(tok.size() - 3);
-      tok += 'i';  // cities -> citi; pairs with the y->i rule below
-    } else if (tok.size() > 4 && (EndsWith(tok, "ses") ||
-                                  EndsWith(tok, "xes") ||
-                                  EndsWith(tok, "zes"))) {
-      tok.resize(tok.size() - 2);
-    } else if (tok.size() > 5 &&
-               (EndsWith(tok, "ches") || EndsWith(tok, "shes"))) {
-      tok.resize(tok.size() - 2);
-    } else if (tok.back() == 's' && tok[tok.size() - 2] != 's' &&
-               tok[tok.size() - 2] != 'u') {
-      // Drop plural 's' but keep "...ss" (glass) and "...us" (status).
-      tok.resize(tok.size() - 1);
+    buf.assign(text.data() + start, i - start);
+    char* s = buf.data();
+    size_t len = i - start;
+    if (options_.lowercase) {
+      for (size_t k = 0; k < len; ++k) s[k] = AsciiLower(s[k]);
+    }
+    if (options_.strip_possessive && len > 2 && EndsWith(s, len, "'s")) {
+      len -= 2;
+    }
+    if (options_.stem_plurals) len = Stem(s, len);
+    const std::string_view token(s, len);
+    if (!token.empty() && len >= options_.min_token_length &&
+        (!options_.drop_stopwords || !InStopwordList(token))) {
+      sink(fn, token);
     }
   }
-  // Step 2: derivational/inflectional suffixes (stem must stay >= 4).
-  if (EndsWith(tok, "ation") && tok.size() >= 9) {
-    tok.resize(tok.size() - 5);
-  } else if (EndsWith(tok, "ing") && tok.size() >= 7) {
-    tok.resize(tok.size() - 3);
-  } else if (EndsWith(tok, "ed") && tok.size() >= 6) {
-    tok.resize(tok.size() - 2);
-  }
-  // Step 3: terminal-letter normalization so singular/derived forms
-  // collide ("city"/"citi", "release"/"releas").
-  if (tok.size() >= 3 && tok.back() == 'y') tok.back() = 'i';
-  if (tok.size() >= 4 && tok.back() == 'e') tok.pop_back();
-  return tok;
 }
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> out;
-  size_t i = 0;
-  const size_t n = text.size();
-  while (i < n) {
-    while (i < n && !std::isalnum(static_cast<unsigned char>(text[i]))) {
-      // Keep apostrophes inside words so possessive stripping can see them.
-      ++i;
-    }
-    size_t start = i;
-    while (i < n && (std::isalnum(static_cast<unsigned char>(text[i])) ||
-                     (text[i] == '\'' && i + 1 < n &&
-                      std::isalnum(static_cast<unsigned char>(text[i + 1]))))) {
-      ++i;
-    }
-    if (i > start) {
-      std::string tok = Normalize(text.substr(start, i - start));
-      if (tok.size() >= options_.min_token_length &&
-          (!options_.drop_stopwords || !StopwordSet().count(tok))) {
-        if (!tok.empty()) out.push_back(std::move(tok));
-      }
-    }
-  }
+  ForEachToken(text,
+               [&out](std::string_view token) { out.emplace_back(token); });
   return out;
 }
 

@@ -3,12 +3,20 @@
 // Word tokenizer shared by the indexer, the query parser, and the column
 // mapper. Tokenization must be identical on both sides or header/query
 // matches silently fail, so every module goes through this class.
+//
+// ForEachToken is the one tokenizing routine. It hands each normalized
+// token to the caller as a view into a buffer it reuses, so the hot
+// callers (candidate build, query parsing, indexing) allocate nothing
+// per token; Tokenize() collects the same tokens into strings.
+// Character classes are ASCII and equal std::isalnum / std::tolower in
+// the C locale: bytes >= 0x80 separate words and are never case-folded.
 
 #ifndef WWT_TEXT_TOKENIZER_H_
 #define WWT_TEXT_TOKENIZER_H_
 
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace wwt {
@@ -38,6 +46,17 @@ class Tokenizer {
  public:
   explicit Tokenizer(TokenizerOptions options = {});
 
+  /// Calls `fn(std::string_view token)` for each normalized token of
+  /// `text`, in order. The view is valid only during the call: the next
+  /// token overwrites the buffer it points into.
+  template <typename Fn>
+  void ForEachToken(std::string_view text, Fn&& fn) const {
+    using F = std::remove_reference_t<Fn>;
+    Scan(text, &fn, [](void* f, std::string_view token) {
+      (*static_cast<F*>(f))(token);
+    });
+  }
+
   /// Tokenizes `text` into normalized tokens, in order.
   std::vector<std::string> Tokenize(std::string_view text) const;
 
@@ -47,7 +66,10 @@ class Tokenizer {
   const TokenizerOptions& options() const { return options_; }
 
  private:
-  std::string Normalize(std::string_view raw) const;
+  /// The tokenizing loop behind ForEachToken: hands each token to
+  /// `sink(fn, token)`.
+  void Scan(std::string_view text, void* fn,
+            void (*sink)(void* fn, std::string_view token)) const;
 
   TokenizerOptions options_;
 };

@@ -1,75 +1,55 @@
 #include "text/vocabulary.h"
 
-#include <algorithm>
-
 #include "util/logging.h"
 
 namespace wwt {
 
+uint64_t Vocabulary::SlotCountFor(uint64_t num_terms) {
+  uint64_t slots = 1;
+  while (slots < 2 * num_terms) slots *= 2;
+  return slots;
+}
+
 Vocabulary& Vocabulary::operator=(const Vocabulary& other) {
   if (this == &other) return *this;
-  ids_.clear();
   terms_.clear();
+  terms_.reserve(other.size());
+  for (TermId id = 0; id < other.size(); ++id) {
+    terms_.emplace_back(other.Term(id));
+  }
+  // The same terms in the same id order give the same table, so a
+  // mapped source's table is copied rather than rebuilt.
+  slots_.assign(other.Slots(), other.Slots() + other.num_slots());
   m_offsets_ = nullptr;
-  m_sorted_ = nullptr;
+  m_slots_ = nullptr;
   m_blob_ = nullptr;
   m_size_ = 0;
-  if (other.mapped()) {
-    // Materialize: re-intern every term in id order, so the copy owns
-    // its storage and the source mapping can be dropped independently.
-    terms_.reserve(other.size());
-    ids_.reserve(other.size());
-    for (TermId id = 0; id < other.size(); ++id) Intern(other.Term(id));
-  } else {
-    ids_ = other.ids_;
-    terms_ = other.terms_;
-  }
+  m_num_slots_ = 0;
   return *this;
 }
 
 TermId Vocabulary::Intern(std::string_view term) {
   WWT_CHECK(m_offsets_ == nullptr) << "mapped Vocabulary is immutable";
-  auto it = ids_.find(std::string(term));
-  if (it != ids_.end()) return it->second;
-  TermId id = static_cast<TermId>(terms_.size());
+  if (std::optional<TermId> found = Find(term)) return *found;
+  const TermId id = static_cast<TermId>(terms_.size());
   terms_.emplace_back(term);
-  ids_.emplace(terms_.back(), id);
+  const uint64_t want = SlotCountFor(terms_.size());
+  if (slots_.size() < want) {
+    // Grow by re-inserting every id in ascending order: the table stays
+    // the one a fresh build of these terms would produce.
+    slots_.assign(want, kEmptySlot);
+    for (TermId t = 0; t <= id; ++t) Place(t);
+  } else {
+    Place(id);
+  }
   return id;
 }
 
-std::optional<TermId> Vocabulary::Find(std::string_view term) const {
-  if (m_offsets_ != nullptr) {
-    // Binary search the save-time lexicographic permutation.
-    const uint32_t* lo = m_sorted_;
-    const uint32_t* hi = m_sorted_ + m_size_;
-    const uint32_t* it = std::lower_bound(
-        lo, hi, term,
-        [this](uint32_t id, std::string_view t) { return Term(id) < t; });
-    if (it != hi && Term(*it) == term) return *it;
-    return std::nullopt;
-  }
-  auto it = ids_.find(std::string(term));
-  if (it == ids_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<TermId> Vocabulary::InternAll(
-    const std::vector<std::string>& tokens) {
-  std::vector<TermId> out;
-  out.reserve(tokens.size());
-  for (const auto& t : tokens) out.push_back(Intern(t));
-  return out;
-}
-
-std::vector<TermId> Vocabulary::FindAll(
-    const std::vector<std::string>& tokens) const {
-  std::vector<TermId> out;
-  out.reserve(tokens.size());
-  for (const auto& t : tokens) {
-    auto id = Find(t);
-    out.push_back(id ? *id : kInvalidTerm);
-  }
-  return out;
+void Vocabulary::Place(TermId id) {
+  const uint64_t mask = slots_.size() - 1;
+  uint64_t s = HomeSlot(terms_[id], slots_.size());
+  while (slots_[s] != kEmptySlot) s = (s + 1) & mask;
+  slots_[s] = id;
 }
 
 }  // namespace wwt

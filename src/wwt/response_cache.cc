@@ -223,14 +223,9 @@ ResponseCache::Stats ResponseCache::GetStats() const {
 // Every helper returns the *heap* bytes a value owns (its inline struct
 // size is already counted via its parent's sizeof). The point is a
 // stable, proportional cost — so the byte budget means what it says —
-// not allocator-exact accounting; per-node overheads are approximated
-// with fixed constants.
+// not allocator-exact accounting.
 
 namespace {
-
-/// Approximate per-node overhead of unordered containers (bucket slot +
-/// node header).
-constexpr size_t kHashNodeOverhead = 3 * sizeof(void*);
 
 size_t HeapOf(const std::string& s) { return s.size(); }
 
@@ -245,11 +240,6 @@ size_t HeapOf(const std::vector<std::string>& v) {
   size_t bytes = v.size() * sizeof(std::string);
   for (const std::string& s : v) bytes += HeapOf(s);
   return bytes;
-}
-
-template <typename T>
-size_t HeapOf(const std::unordered_set<T>& set) {
-  return set.size() * (sizeof(T) + kHashNodeOverhead);
 }
 
 size_t HeapOf(const SparseVector& v) {

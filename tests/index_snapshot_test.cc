@@ -8,7 +8,10 @@
 // answer-equality check lives in wwt_snapshot_roundtrip_test (labeled
 // slow).
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -160,7 +163,7 @@ TEST_F(SnapshotTest, VersionBelowMinimumIsRejected) {
   // is an InvalidArgument naming that version, never a decode attempt.
   const std::string path = SavedSnapshot("old_version");
   const std::string contents = ReadFile(path);
-  for (uint32_t version : {1u, 2u, 3u}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u}) {
     std::string stamped = contents;
     stamped[8] = static_cast<char>(version);  // u32 LSB
     WriteFile(path, stamped);
@@ -229,7 +232,7 @@ TEST_F(SnapshotTest, TruncationAtAnyPrefixFailsCleanly) {
   std::remove(path.c_str());
 }
 
-// --- v4 zero-copy specifics -----------------------------------------------
+// --- zero-copy specifics ---------------------------------------------------
 
 /// Body offset of the first section tagged `tag4` ("STOR", "INDX", ...)
 /// by walking the section framing from the fixed 32-byte header.
@@ -319,6 +322,121 @@ TEST_F(SnapshotTest, V4OffsetTableTamperFailsCleanly) {
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
   EXPECT_NE(loaded.status().message().find("monotone"), std::string::npos)
       << loaded.status();
+  std::remove(path.c_str());
+}
+
+// --- the vocabulary slot table ---------------------------------------------
+
+/// Where INDX keeps the vocabulary slot table. Body: the 37-byte options
+/// prefix, u64 nterms, u64 doc_count, u32 idf_docs, [u32 pad_len][pad],
+/// u64 offsets[nterms + 1], u64 nslots, [u32 pad_len][pad],
+/// u32 slots[nslots].
+struct SlotTableAt {
+  uint64_t nterms = 0;
+  uint64_t nslots = 0;
+  size_t count_pos = 0;  // the u64 nslots
+  size_t slots_pos = 0;  // slots[0]
+};
+
+SlotTableAt LocateSlotTable(const std::string& contents) {
+  auto u64 = [&contents](size_t pos) {
+    uint64_t v;
+    std::memcpy(&v, contents.data() + pos, sizeof(v));
+    return v;
+  };
+  auto u32 = [&contents](size_t pos) {
+    uint32_t v;
+    std::memcpy(&v, contents.data() + pos, sizeof(v));
+    return v;
+  };
+  SlotTableAt at;
+  const size_t indx = SectionBodyOffset(contents, "INDX");
+  at.nterms = u64(indx + 37);
+  size_t pos = indx + 37 + 20;
+  pos += 4 + u32(pos);
+  pos += (at.nterms + 1) * sizeof(uint64_t);
+  at.count_pos = pos;
+  at.nslots = u64(pos);
+  pos += sizeof(uint64_t);
+  pos += 4 + u32(pos);
+  at.slots_pos = pos;
+  return at;
+}
+
+void PutU32(std::string* contents, size_t pos, uint32_t v) {
+  std::memcpy(contents->data() + pos, &v, sizeof(v));
+}
+
+TEST_F(SnapshotTest, MappedFindMatchesHeapFind) {
+  const std::string path = SavedSnapshot("slots_find");
+  StatusOr<Corpus> loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const Vocabulary& heap = GetCorpus().index->vocab();
+  const Vocabulary& mapped = loaded->index->vocab();
+  ASSERT_FALSE(heap.mapped());
+  ASSERT_TRUE(mapped.mapped());
+  ASSERT_EQ(mapped.size(), heap.size());
+  ASSERT_EQ(mapped.num_slots(), Vocabulary::SlotCountFor(heap.size()));
+  ASSERT_EQ(heap.num_slots(), mapped.num_slots());
+  EXPECT_TRUE(std::equal(heap.Slots(), heap.Slots() + heap.num_slots(),
+                         mapped.Slots()));
+
+  size_t prefix_misses = 0;
+  for (TermId t = 0; t < heap.size(); ++t) {
+    const std::string term(heap.Term(t));
+    EXPECT_EQ(heap.Find(term), t);
+    EXPECT_EQ(mapped.Find(term), t) << term;
+    for (size_t len = 0; len < term.size(); ++len) {
+      const std::string prefix = term.substr(0, len);
+      const std::optional<TermId> want = heap.Find(prefix);
+      EXPECT_EQ(mapped.Find(prefix), want) << prefix;
+      if (!want) ++prefix_misses;
+    }
+  }
+  EXPECT_GT(prefix_misses, 0u);
+  for (const char* unknown : {"", "zzqqxx", "notaterm0", "\xff\xfe"}) {
+    EXPECT_FALSE(mapped.Find(unknown).has_value()) << unknown;
+    EXPECT_FALSE(heap.Find(unknown).has_value()) << unknown;
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotTest, SlotTableTamperFailsCleanly) {
+  const std::string path = SavedSnapshot("slots_tamper");
+  const std::string contents = ReadFile(path);
+  const SlotTableAt at = LocateSlotTable(contents);
+  ASSERT_GT(at.nterms, 0u);
+  ASSERT_EQ(at.nslots, Vocabulary::SlotCountFor(at.nterms));
+
+  auto expect_corruption = [&](const std::string& tampered,
+                               const char* what, const char* message) {
+    WriteFile(path, tampered);
+    StatusOr<Corpus> loaded = LoadSnapshot(path);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_TRUE(loaded.status().IsCorruption())
+        << what << ": " << loaded.status();
+    EXPECT_NE(loaded.status().message().find(message), std::string::npos)
+        << what << ": " << loaded.status();
+  };
+
+  // A slot naming a term id past the vocabulary.
+  std::string out_of_range = contents;
+  PutU32(&out_of_range, at.slots_pos, static_cast<uint32_t>(at.nterms));
+  expect_corruption(out_of_range, "slot id >= nterms", "holds term id");
+
+  // A slot count that is not a power of two.
+  std::string odd_count = contents;
+  const uint64_t odd = at.nslots + 1;
+  std::memcpy(odd_count.data() + at.count_pos, &odd, sizeof(odd));
+  expect_corruption(odd_count, "slot count", "slot table of");
+
+  // Every slot filled: a probe for an unknown term would never end.
+  std::string full = contents;
+  for (uint64_t s = 0; s < at.nslots; ++s) {
+    PutU32(&full, at.slots_pos + s * sizeof(uint32_t),
+           static_cast<uint32_t>(s % at.nterms));
+  }
+  expect_corruption(full, "no empty slot", "no empty slot");
   std::remove(path.c_str());
 }
 

@@ -139,6 +139,21 @@ TEST(ReadFrameTest, OverCapLengthIsCorruptionBeforeAllocation) {
   EXPECT_TRUE(payload.empty());
 }
 
+TEST(ReadFrameTest, StalledPayloadAtTheCapPinsNoMoreThanAChunk) {
+  // A header announcing a payload at the cap, then nothing, with the
+  // writer still open: the reader must wait out its deadline holding
+  // memory for the bytes received (none), not the 64 MiB announced.
+  SocketPair pair = MakeSocketPair();
+  std::string header = Bytes({0x57, 0x57, 0x54, 0x52});  // "WWTR" LE
+  const uint32_t at_cap = static_cast<uint32_t>(kDefaultMaxFrameBytes);
+  header.append(reinterpret_cast<const char*>(&at_cap), 4);
+  WriteRaw(pair.writer, header);
+  std::string payload;
+  const Status read = ReadFrame(pair.reader, &payload, DeadlineAfter(0.2));
+  EXPECT_TRUE(read.IsDeadlineExceeded()) << read.ToString();
+  EXPECT_LE(payload.capacity(), size_t{1} << 20);
+}
+
 TEST(ReadFrameTest, RandomBytesNeverCrash) {
   std::mt19937 rng(20260808);
   for (int round = 0; round < 200; ++round) {

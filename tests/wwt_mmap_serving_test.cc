@@ -1,6 +1,6 @@
 // Copyright 2026 The WWT Authors
 //
-// Zero-copy serving lifetime and equivalence: a v4 snapshot is served
+// Zero-copy serving lifetime and equivalence: a snapshot is served
 // straight from its file mapping, so the mapping must stay pinned for
 // exactly as long as anything can still read it — in-flight requests
 // across a SwapCorpus that drops the last owner, and even across an

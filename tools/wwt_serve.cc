@@ -499,8 +499,9 @@ int main(int argc, char** argv) {
   // ---- Router mode: scatter every per-shard index probe to wwt_shardd
   // workers instead of scanning locally. The corpus artifact still loads
   // here (stats, table reads and the answer pipeline stay local — cheap
-  // under zero-copy v4); only the CPU-heavy top-k probes go remote, and
-  // the merged answers are byte-identical to in-process serving.
+  // under the zero-copy format); only the CPU-heavy top-k probes go
+  // remote, and the merged answers are byte-identical to in-process
+  // serving.
   std::unique_ptr<wwt::net::RemoteProbeSet> remote_set;
   if (!worker_groups.empty()) {
     wwt::net::RemoteProbeOptions remote_options;
