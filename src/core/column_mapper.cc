@@ -77,7 +77,7 @@ struct ColumnMapper::MatchScratch {
   std::vector<double> mu;
 };
 
-ColumnMapper::TableInference ColumnMapper::SolveTableIndependent(
+TableInference ColumnMapper::SolveTableIndependent(
     const std::vector<std::vector<double>>& theta, int q, int min_match,
     MatchScratch* scratch) const {
   TableInference result;
@@ -166,26 +166,75 @@ std::vector<std::vector<double>> ColumnMapper::MaxMarginalProbs(
   return probs;
 }
 
+std::vector<TableSolve> ColumnMapper::SolveTables(
+    const Query& query, const std::vector<CandidateTable>& tables,
+    std::vector<TableSolve> solved) const {
+  WWT_CHECK(solved.size() <= tables.size())
+      << solved.size() << " solves for " << tables.size() << " tables";
+  for (size_t t = 0; t < solved.size(); ++t) {
+    WWT_CHECK(solved[t].id == tables[t].table.id)
+        << "solve " << t << " is of table " << solved[t].id << ", not "
+        << tables[t].table.id;
+  }
+  if (solved.size() == tables.size()) return solved;
+  FeatureComputer features(index_, options_.features);
+  MatchScratch scratch;
+  solved.reserve(tables.size());
+  for (size_t t = solved.size(); t < tables.size(); ++t) {
+    TableSolve solve;
+    solve.id = tables[t].table.id;
+    solve.theta = ComputeNodePotentials(query, tables[t], &features,
+                                        options_.weights, options_.use_pmi2);
+    solve.base = SolveTableIndependent(solve.theta, query.q(),
+                                       query.min_match(), &scratch);
+    solved.push_back(std::move(solve));
+  }
+  return solved;
+}
+
+TableMapping ColumnMapper::MappingFor(const TableSolve& solve,
+                                      const std::vector<int>& labels,
+                                      int q) const {
+  TableMapping mapping;
+  mapping.id = solve.id;
+  mapping.relevant = !AllNr(labels, q) && !solve.theta.empty();
+  double nr_score = 0;
+  for (size_t c = 0; c < solve.theta.size(); ++c) {
+    mapping.labels.push_back(ToExternalLabel(labels[c], q));
+    nr_score += solve.theta[c][NrLabel(q)];
+  }
+  mapping.relevance_prob =
+      Sigmoid((solve.base.score - nr_score +
+               (solve.base.relevant ? 0.0 : -1.0)) /
+              std::max(options_.prob_temperature, 1e-6));
+  return mapping;
+}
+
 MapResult ColumnMapper::Map(const Query& query,
                             const std::vector<CandidateTable>& tables) {
+  return Map(query, tables, {});
+}
+
+MapResult ColumnMapper::Map(const Query& query,
+                            const std::vector<CandidateTable>& tables,
+                            std::vector<TableSolve> solved) {
   const int q = query.q();
   const int n = static_cast<int>(tables.size());
   const int min_match = query.min_match();
-  FeatureComputer features(index_, options_.features);
 
   MatchScratch scratch;
   const bool collective = options_.mode != InferenceMode::kIndependent;
 
-  // ----- Node potentials, base inference, and the table-local
-  // probabilities that only collective inference reads.
-  std::vector<std::vector<std::vector<double>>> theta(n);
+  // ----- Node potentials and base inference (table-local, reused from
+  // `solved`), and the table-local probabilities that only collective
+  // inference reads.
+  const std::vector<TableSolve> solves =
+      SolveTables(query, tables, std::move(solved));
   std::vector<std::vector<std::vector<double>>> probs(n);
-  std::vector<TableInference> base(n);
-  for (int t = 0; t < n; ++t) {
-    theta[t] = ComputeNodePotentials(query, tables[t], &features,
-                                     options_.weights, options_.use_pmi2);
-    if (collective) probs[t] = MaxMarginalProbs(theta[t], q, &scratch);
-    base[t] = SolveTableIndependent(theta[t], q, min_match, &scratch);
+  if (collective) {
+    for (int t = 0; t < n; ++t) {
+      probs[t] = MaxMarginalProbs(solves[t].theta, q, &scratch);
+    }
   }
 
   auto confident = [&](int t, int c) {
@@ -203,7 +252,7 @@ MapResult ColumnMapper::Map(const Query& query,
   std::vector<std::vector<int>> labels(n);
   switch (options_.mode) {
     case InferenceMode::kIndependent: {
-      for (int t = 0; t < n; ++t) labels[t] = base[t].labels;
+      for (int t = 0; t < n; ++t) labels[t] = solves[t].base.labels;
       break;
     }
     case InferenceMode::kTableCentric: {
@@ -224,7 +273,7 @@ MapResult ColumnMapper::Map(const Query& query,
         }
       }
       for (int t = 0; t < n; ++t) {
-        std::vector<std::vector<double>> boosted = theta[t];
+        std::vector<std::vector<double>> boosted = solves[t].theta;
         for (int c = 0; c < tables[t].num_cols; ++c) {
           for (int l = 0; l < q; ++l) {
             boosted[c][l] = std::max(boosted[c][l], msg[t][c][l]);
@@ -249,7 +298,7 @@ MapResult ColumnMapper::Map(const Query& query,
       for (int t = 0; t < n; ++t) {
         for (int c = 0; c < tables[t].num_cols; ++c) {
           std::vector<double> energy(L);
-          for (int l = 0; l < L; ++l) energy[l] = -theta[t][c][l];
+          for (int l = 0; l < L; ++l) energy[l] = -solves[t].theta[c][l];
           mrf.AddNode(std::move(energy));
         }
       }
@@ -316,8 +365,9 @@ MapResult ColumnMapper::Map(const Query& query,
         labels[t].assign(flat.begin() + first_node[t],
                          flat.begin() + first_node[t + 1]);
         if (!SatisfiesConstraints(labels[t], q, min_match)) {
-          labels[t] =
-              SolveTableIndependent(theta[t], q, min_match, &scratch).labels;
+          labels[t] = SolveTableIndependent(solves[t].theta, q, min_match,
+                                            &scratch)
+                          .labels;
         }
       }
       break;
@@ -328,25 +378,13 @@ MapResult ColumnMapper::Map(const Query& query,
   MapResult result;
   double objective = 0;
   for (int t = 0; t < n; ++t) {
-    TableMapping mapping;
-    mapping.id = tables[t].table.id;
-    mapping.relevant = !AllNr(labels[t], q) && tables[t].num_cols > 0;
     for (int c = 0; c < tables[t].num_cols; ++c) {
-      mapping.labels.push_back(ToExternalLabel(labels[t][c], q));
-      objective += theta[t][c][labels[t][c]];
+      objective += solves[t].theta[c][labels[t][c]];
     }
-    double nr_score = 0;
-    for (int c = 0; c < tables[t].num_cols; ++c) {
-      nr_score += theta[t][c][NrLabel(q)];
-    }
-    mapping.relevance_prob =
-        Sigmoid((base[t].score - nr_score +
-                 (base[t].relevant ? 0.0 : -1.0)) /
-                std::max(options_.prob_temperature, 1e-6));
     if (!SatisfiesConstraints(labels[t], q, min_match)) {
       objective -= kHardPenalty;
     }
-    result.tables.push_back(std::move(mapping));
+    result.tables.push_back(MappingFor(solves[t], labels[t], q));
   }
   for (const CrossEdge& e : edges) {
     int l1 = labels[e.t1][e.c1];

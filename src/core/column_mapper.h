@@ -15,6 +15,13 @@
 //  * kBeliefPropagation, kTrws — edge-centric message passing with the
 //                        constraints reduced to pairwise potentials
 //                        (Eq. 11) and must/min-match post-processing.
+//
+// Every mode starts from the same table-local work: each table's node
+// potentials (Eq. 3) and its §4.1 optimum, a TableSolve. It depends only
+// on the query, the table and the mapper's weights, features and
+// use_pmi2, so the engine's quick confidence pass (§2.2.1) solves the
+// first-probe tables once and hands the solves to Map, which computes
+// only the rest.
 
 #ifndef WWT_CORE_COLUMN_MAPPER_H_
 #define WWT_CORE_COLUMN_MAPPER_H_
@@ -64,6 +71,21 @@ struct TableMapping {
   double relevance_prob = 0;
 };
 
+/// A table-independent (§4.1) labeling of one table.
+struct TableInference {
+  std::vector<int> labels;  // internal encoding
+  bool relevant = false;
+  double score = 0;  // node-potential part of Eq. 9 for this table
+};
+
+/// One table's table-local mapping work: its node potentials and its
+/// §4.1 optimum.
+struct TableSolve {
+  TableId id = 0;
+  std::vector<std::vector<double>> theta;  // [column][internal label]
+  TableInference base;
+};
+
 struct MapResult {
   std::vector<TableMapping> tables;
   /// Value of objective Eq. 9 for the returned labeling (hard-constraint
@@ -84,15 +106,28 @@ class ColumnMapper {
   MapResult Map(const Query& query,
                 const std::vector<CandidateTable>& tables);
 
+  /// The same result, reusing `solved`: SolveTables' output for a prefix
+  /// of `tables`, made with this mapper's options.
+  MapResult Map(const Query& query,
+                const std::vector<CandidateTable>& tables,
+                std::vector<TableSolve> solved);
+
+  /// Returns a solve per table: those of `solved`, which must be a
+  /// prefix of `tables` in order (ids are checked), then one computed
+  /// for each remaining table.
+  std::vector<TableSolve> SolveTables(
+      const Query& query, const std::vector<CandidateTable>& tables,
+      std::vector<TableSolve> solved = {}) const;
+
+  /// The TableMapping Map reports for a solved table whose final
+  /// labeling (internal encoding) is `labels`.
+  TableMapping MappingFor(const TableSolve& solve,
+                          const std::vector<int>& labels, int q) const;
+
   const MapperOptions& options() const { return options_; }
   MapperOptions* mutable_options() { return &options_; }
 
  private:
-  struct TableInference {
-    std::vector<int> labels;  // internal encoding
-    bool relevant = false;
-    double score = 0;  // node-potential part of Eq. 9 for this table
-  };
   /// One matcher and its input buffers, reused by every solve of a Map
   /// call (defined in the .cc).
   struct MatchScratch;

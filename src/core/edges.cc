@@ -26,6 +26,36 @@ struct ScoredPair {
   double weight = 0;  // matching weight (content + header)
 };
 
+/// Stable LSD radix sort of `postings` by term, 11 bits a pass. A pass
+/// whose digit every posting shares would move nothing and is skipped.
+void SortByTerm(std::vector<ContentPosting>* postings) {
+  constexpr int kDigitBits = 11;
+  constexpr uint32_t kDigitMask = (1u << kDigitBits) - 1;
+  const size_t num = postings->size();
+  if (num == 0) return;
+  std::vector<uint32_t> count(kDigitMask + 1);
+  std::vector<ContentPosting> sorted(num);
+  for (int shift = 0; shift < 32; shift += kDigitBits) {
+    std::fill(count.begin(), count.end(), 0);
+    for (const ContentPosting& p : *postings) {
+      ++count[(p.term >> shift) & kDigitMask];
+    }
+    if (count[(postings->front().term >> shift) & kDigitMask] == num) {
+      continue;
+    }
+    uint32_t start = 0;
+    for (uint32_t& c : count) {
+      const uint32_t digit_count = c;
+      c = start;
+      start += digit_count;
+    }
+    for (const ContentPosting& p : *postings) {
+      sorted[count[(p.term >> shift) & kDigitMask]++] = p;
+    }
+    postings->swap(sorted);
+  }
+}
+
 }  // namespace
 
 std::vector<CrossEdge> BuildCrossEdges(
@@ -54,6 +84,13 @@ std::vector<CrossEdge> BuildCrossEdges(
   // [first_entry[g], first_entry[g + 1]).
   std::vector<ContentPosting> postings;
   std::vector<uint32_t> first_entry(num_cols + 1, 0);
+  size_t total_entries = 0;
+  for (const CandidateTable& t : tables) {
+    for (int c = 0; c < t.num_cols; ++c) {
+      total_entries += t.cols[c].content_vec.size();
+    }
+  }
+  postings.reserve(total_entries);
   for (int t = 0; t < n; ++t) {
     for (int c = 0; c < tables[t].num_cols; ++c) {
       const int g = first_col[t] + c;
@@ -70,13 +107,12 @@ std::vector<CrossEdge> BuildCrossEdges(
     }
   }
 
-  // The postings list: entries ordered by (term, column). position maps
-  // column g's entries, in ascending term order, to their places in it;
-  // a term's postings end at run_end of any of its places.
-  std::sort(postings.begin(), postings.end(),
-            [](const ContentPosting& x, const ContentPosting& y) {
-              return std::tie(x.term, x.col) < std::tie(y.term, y.col);
-            });
+  // The postings list: entries ordered by (term, column). They were
+  // appended by ascending column, each column's by ascending term, so a
+  // stable sort by term alone gives that order. position maps column g's
+  // entries, in ascending term order, to their places in it; a term's
+  // postings end at run_end of any of its places.
+  SortByTerm(&postings);
   const uint32_t num_postings = static_cast<uint32_t>(postings.size());
   std::vector<uint32_t> position(num_postings);
   std::vector<uint32_t> next(first_entry.begin(), first_entry.end() - 1);

@@ -20,14 +20,15 @@ std::vector<std::vector<double>> ComputeNodePotentials(
   std::vector<std::vector<double>> theta(
       nt, std::vector<double>(NumLabels(q), 0.0));
 
-  const double r = features->TableRelevance(query, t);
-  const double nr_potential =
-      weights.w4 * (std::min<double>(q, nt) / std::max(nt, 1)) * (1.0 - r);
+  const TableFeatures& f = features->Compute(query, t);
+  const double nr_potential = weights.w4 *
+                              (std::min<double>(q, nt) / std::max(nt, 1)) *
+                              (1.0 - f.relevance);
 
   for (int c = 0; c < nt; ++c) {
     for (int l = 0; l < q; ++l) {
-      double score = weights.w1 * features->SegSim(query.cols[l], t, c) +
-                     weights.w2 * features->Cover(query.cols[l], t, c);
+      double score = weights.w1 * f.seg_sim[l * nt + c] +
+                     weights.w2 * f.cover[l * nt + c];
       if (use_pmi2 && weights.w3 != 0) {
         score += weights.w3 * features->Pmi2(query.cols[l], t, c);
       }

@@ -40,7 +40,9 @@ int ToExternalLabel(int internal, int q);
 ///   theta(tc, l)  = w1 SegSim + w2 Cover + w3 PMI^2 + w5   (l in 1..q)
 ///   theta(tc, nr) = w4 * (min(q, nt)/nt) * (1 - R(Q, t))
 ///   theta(tc, na) = 0
-/// PMI^2 is only computed when use_pmi2 (it is the expensive feature).
+/// SegSim, Cover and R(Q, t) come from one FeatureComputer::Compute
+/// walk. PMI^2 is only computed when use_pmi2 (it is the expensive
+/// feature).
 std::vector<std::vector<double>> ComputeNodePotentials(
     const Query& query, const CandidateTable& t, FeatureComputer* features,
     const MapperWeights& weights, bool use_pmi2);

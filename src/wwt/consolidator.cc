@@ -54,8 +54,12 @@ AnswerTable Consolidate(const Query& query,
 
       auto it = key_to_row.find(key);
       if (it == key_to_row.end() && options.fuzzy_keys && key.size() >= 6) {
-        // Cheap fuzzy pass: try single-edit variants against rows sharing
-        // the same first token (typo tolerance without O(n^2) scans).
+        // Fuzzy pass (typo tolerance): scans every existing key, skipping
+        // those whose length differs by more than one or whose first
+        // character differs, and takes the first key within one edit in
+        // std::unordered_map iteration order. When several keys are one
+        // edit away, the pick follows the standard library's hash order,
+        // not the order rows were added.
         for (auto& [existing, idx] : key_to_row) {
           if (existing.size() + 1 < key.size() ||
               key.size() + 1 < existing.size()) {

@@ -223,6 +223,12 @@ std::vector<CandidateTable> WwtEngine::ReadTables(
 
 RetrievalResult WwtEngine::Retrieve(const Query& query,
                                     StageTimer* timer) const {
+  std::vector<TableSolve> solves;
+  return Retrieve(query, timer, &solves);
+}
+
+RetrievalResult WwtEngine::Retrieve(const Query& query, StageTimer* timer,
+                                    std::vector<TableSolve>* solves) const {
   StageTimer local;
   if (timer == nullptr) timer = &local;
   RetrievalResult result;
@@ -259,12 +265,14 @@ RetrievalResult WwtEngine::Retrieve(const Query& query,
   std::vector<std::pair<double, int>> confident;
   {
     ScopedStageTimer st(timer, kStageColumnMap);
-    MapperOptions quick = options_.mapper;
-    quick.mode = InferenceMode::kIndependent;  // cheap confidence pass
-    ColumnMapper mapper(stats_, quick);
-    MapResult quick_map = mapper.Map(query, result.tables);
-    for (size_t t = 0; t < quick_map.tables.size(); ++t) {
-      const TableMapping& tm = quick_map.tables[t];
+    // The table-independent (§4.1) mapping of every first-probe table;
+    // Execute hands these solves on to the full Map.
+    ColumnMapper mapper(stats_, options_.mapper);
+    *solves = mapper.SolveTables(query, result.tables);
+    for (size_t t = 0; t < solves->size(); ++t) {
+      const TableSolve& solve = (*solves)[t];
+      const TableMapping tm =
+          mapper.MappingFor(solve, solve.base.labels, query.q());
       if (tm.relevant && tm.relevance_prob >= options_.confident_prob) {
         confident.emplace_back(tm.relevance_prob, static_cast<int>(t));
       }
@@ -329,6 +337,9 @@ RetrievalResult WwtEngine::Retrieve(const Query& query,
   if (static_cast<int>(result.tables.size()) > options_.max_candidates) {
     result.tables.resize(options_.max_candidates);
   }
+  if (solves->size() > result.tables.size()) {
+    solves->resize(result.tables.size());
+  }
   return result;
 }
 
@@ -336,7 +347,8 @@ QueryExecution WwtEngine::Execute(
     const std::vector<std::string>& column_keywords) {
   QueryExecution exec;
   exec.query = Query::Parse(column_keywords, *stats_);
-  exec.retrieval = Retrieve(exec.query, &exec.timing);
+  std::vector<TableSolve> solves;
+  exec.retrieval = Retrieve(exec.query, &exec.timing, &solves);
   // A failed scatter-gather (shard down under the kFail policy) stops
   // the pipeline: mapping a knowingly incomplete candidate set would
   // produce a confidently wrong answer, not a degraded one.
@@ -345,7 +357,8 @@ QueryExecution WwtEngine::Execute(
   {
     ScopedStageTimer st(&exec.timing, kStageColumnMap);
     ColumnMapper mapper(stats_, options_.mapper);
-    exec.mapping = mapper.Map(exec.query, exec.retrieval.tables);
+    exec.mapping =
+        mapper.Map(exec.query, exec.retrieval.tables, std::move(solves));
   }
   {
     ScopedStageTimer st(&exec.timing, kStageConsolidate);

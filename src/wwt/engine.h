@@ -5,6 +5,12 @@
 // (§2.2.3) — with per-stage wall-clock accounting for the Fig. 7
 // runtime-breakdown experiment.
 //
+// The two-phase probe picks its second-probe seeds with a quick
+// table-independent mapping of the first-probe tables. Execute keeps
+// those per-table solves (node potentials and the §4.1 optimum) and
+// hands them to the full column map, so each candidate is solved once
+// per query. They live only for the call: nothing cached holds them.
+//
 // The engine serves one corpus or a sharded one through the same
 // pipeline skeleton: each index probe scatters over the shards (in
 // parallel on a probe pool when one is provided), the per-shard top-k
@@ -236,6 +242,12 @@ class WwtEngine {
 
   /// The shard holding `doc` (by id range), or nullptr.
   const TableStore* StoreOf(TableId doc) const;
+
+  /// Retrieve, also returning the quick pass's solves of the first-probe
+  /// tables (a prefix of the candidates, truncated with them), which
+  /// Execute hands to ColumnMapper::Map.
+  RetrievalResult Retrieve(const Query& query, StageTimer* timer,
+                           std::vector<TableSolve>* solves) const;
 
   /// Reads and preprocesses the given docs, skipping ids in `have`.
   std::vector<CandidateTable> ReadTables(

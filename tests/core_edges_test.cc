@@ -247,6 +247,40 @@ TEST_F(HandBuiltEdgesTest, ZeroColumnAndEmptyBodyColumns) {
   EXPECT_EQ(BuildCrossEdges(tables).size(), 2u);
 }
 
+TEST(RadixEdgesTest, TermIdsInEveryDigitGroupMatchReference) {
+  // The postings are sorted by term 11 bits at a time. These content
+  // terms differ in each of the three digit groups, up to 0xFFFFFFFE,
+  // so a pass that is skipped or ordered wrongly breaks the term runs.
+  const std::vector<TermId> ids = {
+      0,          1,          2047,       2048,       4095,
+      1u << 21,   (1u << 22) - 1, 1u << 22, (1u << 22) + 1,
+      (1u << 22) + 2048,      0x7FFFFFFF, 0x80000000, 0xFFFFF7FF,
+      0xFFFFF800, 0xFFFFFFFD, 0xFFFFFFFE};
+  uint32_t state = 12345;
+  auto next = [&state] {
+    state = state * 1103515245u + 12345u;
+    return state >> 16;
+  };
+  std::vector<CandidateTable> tables(7);
+  for (size_t t = 0; t < tables.size(); ++t) {
+    CandidateTable& table = tables[t];
+    table.table.id = static_cast<TableId>(t);
+    table.num_cols = 2 + static_cast<int>(t % 2);
+    table.cols.resize(table.num_cols);
+    for (CandidateColumn& col : table.cols) {
+      for (TermId id : ids) {
+        if (next() % 3 == 0) continue;
+        col.content_vec.Add(id, 1.0 + 0.25 * (next() % 5));
+        if (next() % 4 == 0) col.header_vec.Add(id, 1.0);
+      }
+      col.content_vec.Compact();
+      col.header_vec.Compact();
+    }
+  }
+  CheckAgainstReference(tables, "digit groups");
+  EXPECT_FALSE(BuildCrossEdges(tables).empty());
+}
+
 // ------------------------------------------------ workload candidate sets
 
 TEST(WorkloadEdgesTest, EveryQueryCandidateSetMatchesReference) {

@@ -5,17 +5,253 @@
 // and the Eq. 1 arithmetic can be verified by hand: with k distinct
 // equal-weight tokens, ||P||^2/||Q||^2 = |P|/|Q| and cosine reduces to
 // |P ∩ H| / sqrt(|P| |H|).
+//
+// The one segmentation walk is also checked against the per-call walk it
+// replaced, kept here as the oracle: a SparseVector per header row and
+// per split, and SegSim, Cover and R(Q, t) each walking the splits on
+// their own. SegSim, Cover, R(Q, t) and theta must match it bit for bit,
+// on hand cases and on every retrieved candidate of the workload.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/features.h"
 #include "core/potentials.h"
+#include "corpus/corpus_generator.h"
 #include "table/labels.h"
+#include "wwt/engine.h"
 
 namespace wwt {
 namespace {
+
+// ------------------------------------------------------ reference oracle
+
+double ReferenceOutSim(const PartReliability& p, const QueryColumn& ql,
+                       size_t s_begin, size_t s_end, const CandidateTable& t,
+                       int r, int c) {
+  if (s_begin >= s_end) return 0;
+  double norm_s = 0;
+  for (size_t i = s_begin; i < s_end; ++i) {
+    norm_s += ql.term_weight[i] * ql.term_weight[i];
+  }
+  if (norm_s <= 0) return 0;
+  const CandidateColumn& col = t.cols[c];
+  double out = 0;
+  for (size_t i = s_begin; i < s_end; ++i) {
+    const TermId w = ql.terms[i];
+    double miss = 1.0;
+    if (CandidateTable::Contains(t.title_terms, w)) miss *= 1.0 - p.title;
+    if (CandidateTable::Contains(t.context_terms, w)) {
+      miss *= 1.0 - p.context;
+    }
+    for (int r2 = 0; r2 < t.num_header_rows; ++r2) {
+      if (r2 == r) continue;
+      const auto& terms = col.header_terms[r2];
+      if (std::find(terms.begin(), terms.end(), w) != terms.end()) {
+        miss *= 1.0 - p.other_header_row;
+        break;
+      }
+    }
+    for (int c2 = 0; c2 < t.num_cols; ++c2) {
+      if (c2 == c) continue;
+      const auto& terms = t.cols[c2].header_terms[r];
+      if (std::find(terms.begin(), terms.end(), w) != terms.end()) {
+        miss *= 1.0 - p.other_header_col;
+        break;
+      }
+    }
+    if (CandidateTable::Contains(t.frequent_terms_all, w)) {
+      miss *= 1.0 - p.frequent_body;
+    }
+    const double ti2 = ql.term_weight[i] * ql.term_weight[i];
+    out += ti2 / norm_s * (1.0 - miss);
+  }
+  return out;
+}
+
+double ReferenceSegmented(const CorpusStats& stats, const PartReliability& p,
+                          const QueryColumn& ql, const CandidateTable& t,
+                          int c, bool cover_mode) {
+  const size_t m = ql.terms.size();
+  if (m == 0 || ql.norm_squared <= 0) return 0;
+  if (t.num_header_rows == 0) return 0;
+  const CandidateColumn& col = t.cols[c];
+  double best = 0;
+  for (int r = 0; r < t.num_header_rows; ++r) {
+    const std::vector<TermId>& hrc = col.header_terms[r];
+    if (hrc.empty()) continue;
+    SparseVector hvec;
+    for (TermId w : hrc) hvec.Add(w, stats.idf().Idf(w));
+    hvec.Compact();
+    auto in_sim = [&](size_t b, size_t e, double* norm_sq, bool* intersects) {
+      SparseVector pvec;
+      double ns = 0;
+      bool hit = false;
+      for (size_t i = b; i < e; ++i) {
+        pvec.Add(ql.terms[i], ql.term_weight[i]);
+        ns += ql.term_weight[i] * ql.term_weight[i];
+        if (std::find(hrc.begin(), hrc.end(), ql.terms[i]) != hrc.end()) {
+          hit = true;
+        }
+      }
+      pvec.Compact();
+      *norm_sq = ns;
+      *intersects = hit;
+      if (!hit || ns <= 0) return 0.0;
+      if (cover_mode) {
+        double covered = 0;
+        for (size_t i = b; i < e; ++i) {
+          if (std::find(hrc.begin(), hrc.end(), ql.terms[i]) != hrc.end()) {
+            covered += ql.term_weight[i] * ql.term_weight[i];
+          }
+        }
+        return covered / ns;
+      }
+      return SparseVector::Cosine(pvec, hvec);
+    };
+    for (size_t k = 0; k <= m; ++k) {
+      {
+        double norm_p = 0;
+        bool hit = false;
+        double in = in_sim(0, k, &norm_p, &hit);
+        if (hit) {
+          double out = ReferenceOutSim(p, ql, k, m, t, r, c);
+          double norm_s = ql.norm_squared - norm_p;
+          best = std::max(best, norm_p / ql.norm_squared * in +
+                                    norm_s / ql.norm_squared * out);
+        }
+      }
+      {
+        double norm_p = 0;
+        bool hit = false;
+        double in = in_sim(k, m, &norm_p, &hit);
+        if (hit) {
+          double out = ReferenceOutSim(p, ql, 0, k, t, r, c);
+          double norm_s = ql.norm_squared - norm_p;
+          best = std::max(best, norm_p / ql.norm_squared * in +
+                                    norm_s / ql.norm_squared * out);
+        }
+      }
+    }
+  }
+  return best;
+}
+
+double ReferenceSegSim(const CorpusStats& stats, const FeatureOptions& o,
+                       const QueryColumn& ql, const CandidateTable& t,
+                       int c) {
+  if (o.unsegmented) {
+    return SparseVector::Cosine(ql.vec, t.cols[c].header_vec);
+  }
+  return ReferenceSegmented(stats, o.reliability, ql, t, c, false);
+}
+
+double ReferenceCover(const CorpusStats& stats, const FeatureOptions& o,
+                      const QueryColumn& ql, const CandidateTable& t, int c) {
+  if (o.unsegmented) {
+    if (ql.norm_squared <= 0) return 0;
+    double covered = 0;
+    for (size_t i = 0; i < ql.terms.size(); ++i) {
+      if (t.cols[c].header_vec.Get(ql.terms[i]) > 0) {
+        covered += ql.term_weight[i] * ql.term_weight[i];
+      }
+    }
+    return covered / ql.norm_squared;
+  }
+  return ReferenceSegmented(stats, o.reliability, ql, t, c, true);
+}
+
+double ReferenceTableRelevance(const CorpusStats& stats,
+                               const FeatureOptions& o, const Query& query,
+                               const CandidateTable& t) {
+  double total = 0;
+  for (const QueryColumn& ql : query.cols) {
+    double best = 0;
+    for (int c = 0; c < t.num_cols; ++c) {
+      best = std::max(best, ReferenceCover(stats, o, ql, t, c));
+    }
+    total += best;
+  }
+  const double threshold = std::min<double>(query.q(), 1.5);
+  const double clipped = total < threshold ? 0.0 : total;
+  return clipped / query.q();
+}
+
+std::vector<std::vector<double>> ReferenceNodePotentials(
+    const CorpusStats& stats, const FeatureOptions& o, const Query& query,
+    const CandidateTable& t, const MapperWeights& weights) {
+  const int q = query.q();
+  const int nt = t.num_cols;
+  std::vector<std::vector<double>> theta(
+      nt, std::vector<double>(NumLabels(q), 0.0));
+  const double r = ReferenceTableRelevance(stats, o, query, t);
+  const double nr_potential =
+      weights.w4 * (std::min<double>(q, nt) / std::max(nt, 1)) * (1.0 - r);
+  for (int c = 0; c < nt; ++c) {
+    for (int l = 0; l < q; ++l) {
+      double score =
+          weights.w1 * ReferenceSegSim(stats, o, query.cols[l], t, c) +
+          weights.w2 * ReferenceCover(stats, o, query.cols[l], t, c);
+      theta[c][l] = score + weights.w5;
+    }
+    theta[c][NaLabel(q)] = 0.0;
+    theta[c][NrLabel(q)] = nr_potential;
+  }
+  return theta;
+}
+
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+/// Every feature of `t` through the one walk, against the reference:
+/// SegSim, Cover, R(Q, t) and theta, by their bits.
+void ExpectMatchesReference(const CorpusStats& stats,
+                            const FeatureOptions& options,
+                            const Query& query, const CandidateTable& t,
+                            const std::string& where) {
+  FeatureComputer f(&stats, options);
+  const TableFeatures& table = f.Compute(query, t);
+  const int nt = t.num_cols;
+  ASSERT_EQ(table.seg_sim.size(), static_cast<size_t>(query.q() * nt));
+  ASSERT_EQ(table.cover.size(), static_cast<size_t>(query.q() * nt));
+  for (int l = 0; l < query.q(); ++l) {
+    for (int c = 0; c < nt; ++c) {
+      const std::string at =
+          where + " l=" + std::to_string(l) + " c=" + std::to_string(c);
+      const double seg = ReferenceSegSim(stats, options, query.cols[l], t, c);
+      const double cover =
+          ReferenceCover(stats, options, query.cols[l], t, c);
+      EXPECT_TRUE(SameBits(table.seg_sim[l * nt + c], seg))
+          << at << ": " << table.seg_sim[l * nt + c] << " vs " << seg;
+      EXPECT_TRUE(SameBits(table.cover[l * nt + c], cover))
+          << at << ": " << table.cover[l * nt + c] << " vs " << cover;
+    }
+  }
+  const double relevance =
+      ReferenceTableRelevance(stats, options, query, t);
+  EXPECT_TRUE(SameBits(table.relevance, relevance))
+      << where << ": R " << table.relevance << " vs " << relevance;
+
+  const MapperWeights weights;
+  const std::vector<std::vector<double>> theta =
+      ComputeNodePotentials(query, t, &f, weights, /*use_pmi2=*/false);
+  const std::vector<std::vector<double>> want =
+      ReferenceNodePotentials(stats, options, query, t, weights);
+  ASSERT_EQ(theta.size(), want.size()) << where;
+  for (size_t c = 0; c < want.size(); ++c) {
+    ASSERT_EQ(theta[c].size(), want[c].size()) << where;
+    for (size_t l = 0; l < want[c].size(); ++l) {
+      EXPECT_TRUE(SameBits(theta[c][l], want[c][l]))
+          << where << " theta[" << c << "][" << l << "]";
+    }
+  }
+}
 
 class FeaturesTest : public ::testing::Test {
  protected:
@@ -61,7 +297,7 @@ TEST_F(FeaturesTest, SegSimPureHeaderMatch) {
   CandidateTable t = MakeCandidate({}, {}, {{"Winner", "Year"}},
                                    {{"A", "2001"}});
   FeatureComputer f(&index_);
-  EXPECT_NEAR(f.SegSim(q.cols[0], t, 0), 1.0, 1e-9);
+  EXPECT_NEAR(f.Compute(q, t).seg_sim[0], 1.0, 1e-9);
 }
 
 TEST_F(FeaturesTest, SegSimZeroWithoutHeaders) {
@@ -70,7 +306,7 @@ TEST_F(FeaturesTest, SegSimZeroWithoutHeaders) {
   CandidateTable t = MakeCandidate({}, {"winner list"}, {},
                                    {{"A"}, {"B"}});
   FeatureComputer f(&index_);
-  EXPECT_DOUBLE_EQ(f.SegSim(q.cols[0], t, 0), 0.0);
+  EXPECT_DOUBLE_EQ(f.Compute(q, t).seg_sim[0], 0.0);
 }
 
 TEST_F(FeaturesTest, SegSimZeroWithoutHeaderIntersection) {
@@ -80,7 +316,7 @@ TEST_F(FeaturesTest, SegSimZeroWithoutHeaderIntersection) {
   CandidateTable t = MakeCandidate({}, {"winner list"}, {{"Name"}},
                                    {{"A"}});
   FeatureComputer f(&index_);
-  EXPECT_DOUBLE_EQ(f.SegSim(q.cols[0], t, 0), 0.0);
+  EXPECT_DOUBLE_EQ(f.Compute(q, t).seg_sim[0], 0.0);
 }
 
 TEST_F(FeaturesTest, SegSimSplitsQueryAcrossHeaderAndContext) {
@@ -93,7 +329,7 @@ TEST_F(FeaturesTest, SegSimSplitsQueryAcrossHeaderAndContext) {
       {}, {"list of nobel prize recipients"}, {{"Winner", "Year"}},
       {{"A", "2001"}});
   FeatureComputer f(&index_);
-  EXPECT_NEAR(f.SegSim(q.cols[0], t, 0), 1.0 / 3 + 2.0 / 3 * 0.9, 1e-9);
+  EXPECT_NEAR(f.Compute(q, t).seg_sim[0], 1.0 / 3 + 2.0 / 3 * 0.9, 1e-9);
 }
 
 TEST_F(FeaturesTest, SegSimBeatsUnsegmentedCosineOnSplitQueries) {
@@ -104,8 +340,8 @@ TEST_F(FeaturesTest, SegSimBeatsUnsegmentedCosineOnSplitQueries) {
   FeatureOptions unseg;
   unseg.unsegmented = true;
   FeatureComputer segmented(&index_), unsegmented(&index_, unseg);
-  EXPECT_GT(segmented.SegSim(q.cols[0], t, 0),
-            unsegmented.SegSim(q.cols[0], t, 0) + 0.3);
+  EXPECT_GT(segmented.Compute(q, t).seg_sim[0],
+            unsegmented.Compute(q, t).seg_sim[0] + 0.3);
 }
 
 TEST_F(FeaturesTest, SegSimMultiRowHeaderUsesBestRowPlusHc) {
@@ -118,7 +354,7 @@ TEST_F(FeaturesTest, SegSimMultiRowHeaderUsesBestRowPlusHc) {
       {}, {}, {{"Main areas", "Name"}, {"explored", ""}},
       {{"Oceania", "Tasman"}});
   FeatureComputer f(&index_);
-  EXPECT_NEAR(f.SegSim(q.cols[0], t, 0), 0.75, 1e-9);
+  EXPECT_NEAR(f.Compute(q, t).seg_sim[0], 0.75, 1e-9);
 }
 
 TEST_F(FeaturesTest, SegSimIgnoresSpuriousSecondHeaderRow) {
@@ -129,7 +365,7 @@ TEST_F(FeaturesTest, SegSimIgnoresSpuriousSecondHeaderRow) {
       {}, {}, {{"Winner", "Year"}, {"chronological order", ""}},
       {{"A", "2001"}});
   FeatureComputer f(&index_);
-  EXPECT_NEAR(f.SegSim(q.cols[0], t, 0), 1.0, 1e-9);
+  EXPECT_NEAR(f.Compute(q, t).seg_sim[0], 1.0, 1e-9);
 }
 
 TEST_F(FeaturesTest, SegSimUsesFrequentBodyContent) {
@@ -144,7 +380,7 @@ TEST_F(FeaturesTest, SegSimUsesFrequentBodyContent) {
        {"Gamma", "Death metal"}});
   FeatureComputer f(&index_);
   const double in_sim = 1.0 / std::sqrt(2.0);
-  EXPECT_NEAR(f.SegSim(q.cols[0], t, 0),
+  EXPECT_NEAR(f.Compute(q, t).seg_sim[0],
               1.0 / 3 * in_sim + 2.0 / 3 * 0.8, 1e-9);
 }
 
@@ -161,7 +397,7 @@ TEST_F(FeaturesTest, SegSimUsesOtherColumnHeaders) {
   CandidateTable t = MakeCandidate({}, {}, {{"Dog", "Breed"}},
                                    {{"Rex", "Beagle"}});
   FeatureComputer f(&index_);
-  EXPECT_NEAR(f.SegSim(q.cols[0], t, 1), 1.0, 1e-9);
+  EXPECT_NEAR(f.Compute(q, t).seg_sim[1], 1.0, 1e-9);
 }
 
 TEST_F(FeaturesTest, SegSimMultiPartMatchesDecayExponentially) {
@@ -171,14 +407,14 @@ TEST_F(FeaturesTest, SegSimMultiPartMatchesDecayExponentially) {
   CandidateTable t = MakeCandidate(
       {"nobel"}, {"nobel"}, {{"Winner"}}, {{"A"}});
   FeatureComputer f(&index_);
-  EXPECT_NEAR(f.SegSim(q.cols[0], t, 0), 0.5 * 1.0 + 0.5 * 1.0, 1e-9);
+  EXPECT_NEAR(f.Compute(q, t).seg_sim[0], 0.5 * 1.0 + 0.5 * 1.0, 1e-9);
 }
 
 TEST_F(FeaturesTest, SegSimEmptyQuery) {
   Query q = MakeQuery({""});
   CandidateTable t = MakeCandidate({}, {}, {{"Winner"}}, {{"A"}});
   FeatureComputer f(&index_);
-  EXPECT_DOUBLE_EQ(f.SegSim(q.cols[0], t, 0), 0.0);
+  EXPECT_DOUBLE_EQ(f.Compute(q, t).seg_sim[0], 0.0);
 }
 
 // ----------------------------------------------------------------- Cover
@@ -188,7 +424,7 @@ TEST_F(FeaturesTest, CoverFullWhenAllTokensPresent) {
   CandidateTable t = MakeCandidate(
       {}, {"nobel prize"}, {{"Winner", "Year"}}, {{"A", "2001"}});
   FeatureComputer f(&index_);
-  EXPECT_NEAR(f.Cover(q.cols[0], t, 0), 1.0 / 3 + 2.0 / 3 * 0.9, 1e-9);
+  EXPECT_NEAR(f.Compute(q, t).cover[0], 1.0 / 3 + 2.0 / 3 * 0.9, 1e-9);
 }
 
 TEST_F(FeaturesTest, CoverHigherThanSegSimOnPartialHeaders) {
@@ -197,8 +433,8 @@ TEST_F(FeaturesTest, CoverHigherThanSegSimOnPartialHeaders) {
   Query q = MakeQuery({"winner"});
   CandidateTable t = MakeCandidate({}, {}, {{"Winner Year"}}, {{"A"}});
   FeatureComputer f(&index_);
-  EXPECT_NEAR(f.Cover(q.cols[0], t, 0), 1.0, 1e-9);
-  EXPECT_NEAR(f.SegSim(q.cols[0], t, 0), 1.0 / std::sqrt(2.0), 1e-9);
+  EXPECT_NEAR(f.Compute(q, t).cover[0], 1.0, 1e-9);
+  EXPECT_NEAR(f.Compute(q, t).seg_sim[0], 1.0 / std::sqrt(2.0), 1e-9);
 }
 
 // ------------------------------------------------------------------ PMI2
@@ -246,7 +482,7 @@ TEST_F(FeaturesTest, TableRelevanceClipsLowCoverage) {
   CandidateTable t = MakeCandidate({}, {}, {{"Winner", "Name"}},
                                    {{"A", "B"}});
   FeatureComputer f(&index_);
-  EXPECT_DOUBLE_EQ(f.TableRelevance(q, t), 0.0);
+  EXPECT_DOUBLE_EQ(f.Compute(q, t).relevance, 0.0);
 }
 
 TEST_F(FeaturesTest, TableRelevancePassesFullCoverage) {
@@ -254,7 +490,7 @@ TEST_F(FeaturesTest, TableRelevancePassesFullCoverage) {
   CandidateTable t = MakeCandidate({}, {}, {{"Winner", "Country"}},
                                    {{"A", "B"}});
   FeatureComputer f(&index_);
-  EXPECT_NEAR(f.TableRelevance(q, t), 1.0, 1e-9);
+  EXPECT_NEAR(f.Compute(q, t).relevance, 1.0, 1e-9);
 }
 
 TEST_F(FeaturesTest, TableRelevanceSingleColumnNeedsFullCover) {
@@ -262,7 +498,7 @@ TEST_F(FeaturesTest, TableRelevanceSingleColumnNeedsFullCover) {
   // Header covers only "winner" (1/3): below the min(q,1.5)=1 threshold.
   CandidateTable t = MakeCandidate({}, {}, {{"Winner"}}, {{"A"}});
   FeatureComputer f(&index_);
-  EXPECT_DOUBLE_EQ(f.TableRelevance(q, t), 0.0);
+  EXPECT_DOUBLE_EQ(f.Compute(q, t).relevance, 0.0);
 }
 
 // --------------------------------------------------------- Node potential
@@ -284,6 +520,76 @@ TEST_F(FeaturesTest, NodePotentialShape) {
   EXPECT_NEAR(theta[0][NrLabel(2)], w.w4 * 1.0, 1e-9);
   // Both columns share the table-level nr potential.
   EXPECT_DOUBLE_EQ(theta[0][NrLabel(2)], theta[1][NrLabel(2)]);
+}
+
+// ------------------------------------------------------ one-walk oracle
+
+TEST_F(FeaturesTest, OneWalkMatchesReferenceOnHandCases) {
+  WebTable vocab2;
+  vocab2.id = 2;
+  vocab2.num_cols = 1;
+  vocab2.body = {{"winner prize nobel year"}};
+  index_.Add(vocab2);  // unequal IDF weights from here on
+  const CandidateTable headed = MakeCandidate(
+      {"nobel"}, {"list of nobel prize recipients"},
+      {{"Winner Winner", "Year", "Country"}, {"prize", "", "nobel winner"}},
+      {{"A", "2001", "Dutch"}, {"B", "2002", "Dutch"}});
+  const CandidateTable empty_header_row = MakeCandidate(
+      {}, {"nobel prize"}, {{"", "Winner"}, {"", ""}},
+      {{"A", "B"}, {"C", "D"}});
+  const CandidateTable no_header = MakeCandidate(
+      {"nobel prize winner"}, {}, {}, {{"A", "B"}, {"C", "D"}});
+  const std::vector<std::pair<std::string, Query>> queries = {
+      {"plain", MakeQuery({"nobel prize winner", "year"})},
+      {"duplicate terms",
+       MakeQuery({"winner prize winner", "nobel nobel nobel", "year"})},
+      {"no known terms", MakeQuery({"qqqzzz", "winner"})},
+      {"single term", MakeQuery({"winner"})},
+  };
+  FeatureOptions unsegmented;
+  unsegmented.unsegmented = true;
+  for (const auto& [name, query] : queries) {
+    for (const auto& [tname, table] :
+         {std::make_pair("headed", &headed),
+          std::make_pair("empty header row", &empty_header_row),
+          std::make_pair("no header rows", &no_header)}) {
+      ExpectMatchesReference(index_, {}, query, *table,
+                             name + " / " + tname);
+      ExpectMatchesReference(index_, unsegmented, query, *table,
+                             name + " / " + tname + " / unsegmented");
+    }
+  }
+  // The duplicate-term query really has duplicates, and the unknown
+  // column really has no terms.
+  EXPECT_EQ(queries[1].second.cols[1].terms.size(), 3u);
+  EXPECT_TRUE(queries[2].second.cols[0].terms.empty());
+}
+
+TEST(WorkloadFeaturesTest, EveryRetrievedCandidateMatchesReference) {
+  CorpusOptions corpus_options;
+  corpus_options.seed = 42;
+  corpus_options.scale = 0.25;
+  const Corpus corpus = GenerateCorpus(corpus_options);
+  ASSERT_FALSE(corpus.queries.empty());
+  WwtEngine engine(&corpus.store, corpus.index.get(), {});
+  size_t pairs = 0;
+  for (size_t i = 0; i < corpus.queries.size(); ++i) {
+    std::vector<std::string> columns;
+    for (const QueryColumnSpec& col : corpus.queries[i].spec.columns) {
+      columns.push_back(col.keywords);
+    }
+    const Query query = Query::Parse(columns, *corpus.index);
+    const RetrievalResult retrieval = engine.Retrieve(query, nullptr);
+    for (const CandidateTable& t : retrieval.tables) {
+      ExpectMatchesReference(*corpus.index, {}, query, t,
+                             "query #" + std::to_string(i) + " " +
+                                 corpus.queries[i].spec.name + " table " +
+                                 std::to_string(t.table.id));
+      pairs += static_cast<size_t>(query.q() * t.num_cols);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(pairs, 0u);
 }
 
 TEST_F(FeaturesTest, ExternalLabelConversion) {
