@@ -211,11 +211,6 @@ TableMapping ColumnMapper::MappingFor(const TableSolve& solve,
 }
 
 MapResult ColumnMapper::Map(const Query& query,
-                            const std::vector<CandidateTable>& tables) {
-  return Map(query, tables, {});
-}
-
-MapResult ColumnMapper::Map(const Query& query,
                             const std::vector<CandidateTable>& tables,
                             std::vector<TableSolve> solved) {
   const int q = query.q();

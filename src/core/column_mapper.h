@@ -102,15 +102,13 @@ class ColumnMapper {
   /// a TableIndex, or a CorpusSet's stats view for sharded corpora.
   ColumnMapper(const CorpusStats* stats, MapperOptions options = {});
 
-  /// Labels every column of every candidate table.
-  MapResult Map(const Query& query,
-                const std::vector<CandidateTable>& tables);
-
-  /// The same result, reusing `solved`: SolveTables' output for a prefix
-  /// of `tables`, made with this mapper's options.
+  /// Labels every column of every candidate table. `solved` is
+  /// SolveTables' output for a prefix of `tables`, made with this
+  /// mapper's options; those tables are not solved again, and the result
+  /// is the same as with an empty prefix.
   MapResult Map(const Query& query,
                 const std::vector<CandidateTable>& tables,
-                std::vector<TableSolve> solved);
+                std::vector<TableSolve> solved = {});
 
   /// Returns a solve per table: those of `solved`, which must be a
   /// prefix of `tables` in order (ids are checked), then one computed
