@@ -13,7 +13,8 @@
 // service — pass 1 cold (every query executes the pipeline, the miss
 // path), pass 2 warm (every query an LRU hit). Both passes are verified
 // byte-identical to the serial reference; miss/hit QPS and their ratio
-// land in BENCH_throughput.json (`response_cache`).
+// land in BENCH_throughput.json (`response_cache`). The hit QPS is the
+// median of further warm passes, the cache's steady state.
 //
 // A third sweep partitions the same corpus into N ∈ {1, 2, 4, 8}
 // shards behind one service (the wwt_indexer --shards serving shape):
@@ -214,7 +215,10 @@ int main() {
   // pipeline and is inserted), pass 2 the hit path (every query served
   // from the LRU). The headline number is hit-path QPS over miss-path
   // QPS on identical queries — what a repeated head-query workload
-  // gains from the cache.
+  // gains from the cache. One hit pass lasts a few milliseconds and the
+  // first one follows the misses, so the hit side is the median of
+  // kHitPasses passes after pass 2.
+  constexpr int kHitPasses = 20;
   const size_t unique_count = served.queries.size();
   const std::vector<std::vector<std::string>> unique_queries(
       queries.begin(), queries.begin() + unique_count);
@@ -249,8 +253,24 @@ int main() {
                  warm_hits, unique_count);
     all_identical = false;
   }
+  std::vector<double> hit_pass_qps;
+  size_t steady_hits = 0;
+  for (int pass = 0; pass < kHitPasses; ++pass) {
+    BatchResponse hits = (*cached_service)->RunBatch(unique_queries);
+    for (const QueryResponse& r : hits.responses) {
+      steady_hits += r.ok() && r.served_from_cache;
+    }
+    hit_pass_qps.push_back(hits.stats.qps);
+  }
+  if (steady_hits != kHitPasses * unique_count) {
+    std::fprintf(stderr, "[bench] steady hit passes: only %zu/%zu cache hits\n",
+                 steady_hits, kHitPasses * unique_count);
+    all_identical = false;
+  }
+  std::sort(hit_pass_qps.begin(), hit_pass_qps.end());
   const double miss_qps = cold.stats.qps;
-  const double hit_qps = warm.stats.qps;
+  const double hit_qps =
+      (hit_pass_qps[(kHitPasses - 1) / 2] + hit_pass_qps[kHitPasses / 2]) / 2;
   const double hit_over_miss = miss_qps > 0 ? hit_qps / miss_qps : 0.0;
   std::printf(
       "\nresponse cache (repeated workload, %zu unique queries): miss "

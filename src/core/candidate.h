@@ -5,11 +5,14 @@
 // per-row-per-column headers, frequent body tokens) tokenized once, plus
 // per-column content vectors for the cross-table overlap machinery.
 //
-// Build runs at query time for every candidate, so it is one pass over
-// each string's bytes: tokens arrive as views (Tokenizer::ForEachToken)
-// and are looked up in the vocabulary's slot table without a copy, and
-// the term sets are sorted id vectors (membership by binary search), not
-// hash sets.
+// A candidate is made in two steps. The forward-index entry holds what
+// depends on neither IDF nor options: the table's term ids, one pass over
+// each string's bytes (tokens arrive as views from
+// Tokenizer::ForEachToken and are looked up in the vocabulary's slot
+// table without a copy). A snapshot stores one entry per table (section
+// FWRD), so serving a snapshot never tokenizes a table. Materializing
+// applies IDF and the frequent-cell rule to an entry. The term sets are
+// sorted id vectors (membership by binary search), not hash sets.
 
 #ifndef WWT_CORE_CANDIDATE_H_
 #define WWT_CORE_CANDIDATE_H_
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "index/table_index.h"
+#include "index/table_store.h"
 #include "table/web_table.h"
 #include "text/tfidf.h"
 
@@ -60,12 +64,32 @@ struct CandidateTable {
 
   /// Tokenizes and vectorizes `table` against the corpus statistics (a
   /// TableIndex, or a CorpusSet's global stats view — identical vectors
-  /// either way, because shard indexes carry the global vocabulary/IDF).
+  /// either way, because shard indexes carry the global vocabulary/IDF):
+  /// AppendForwardEntry, then FromForwardEntry.
   /// `frequent_cell_fraction`: a token is "frequent content" when it
   /// appears in at least this fraction of the column's non-empty cells
   /// (and at least twice).
   static CandidateTable Build(WebTable table, const CorpusStats& stats,
                               double frequent_cell_fraction = 0.3);
+
+  /// Appends `table`'s forward-index entry, in u32 words: num_cols,
+  /// num_header_rows, the title and the context term sets (each a count,
+  /// then sorted distinct ids), then per column each header row's known
+  /// token ids in token order (a count, then ids), the column's non-empty
+  /// body-cell count, and its distinct content terms (a count, then
+  /// ascending (term, cells holding it) pairs).
+  static void AppendForwardEntry(const WebTable& table,
+                                 const CorpusStats& stats,
+                                 std::vector<uint32_t>* words);
+
+  /// The candidate of `table` from its forward-index entry: IDF and the
+  /// frequent-cell rule applied, bit-identical to Build when the entry
+  /// came from `table` and the same vocabulary. Corruption when a count
+  /// overruns the entry, a term id is outside stats.vocab(), a set is not
+  /// ascending, or the entry's shape differs from `table`'s.
+  static StatusOr<CandidateTable> FromForwardEntry(
+      WebTable table, ForwardEntry entry, const CorpusStats& stats,
+      double frequent_cell_fraction = 0.3);
 };
 
 }  // namespace wwt

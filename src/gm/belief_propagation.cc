@@ -21,6 +21,12 @@ std::vector<int> MinSumBeliefPropagation(const Mrf& mrf,
     incoming[mrf.edges[e].u].emplace_back(2 * e + 1, mrf.edges[e].v);
   }
 
+  // sum[v] = node energy + every message into v, kept current as the
+  // messages change, so the h of an outgoing message is sum minus the
+  // reverse message: O(L) per message instead of O(deg * L). Updates
+  // stay sequential (each message sees the ones before it this sweep).
+  std::vector<std::vector<double>> sum = mrf.node_energy;
+  std::vector<double> h(L);
   std::vector<double> work(L);
   for (int iter = 0; iter < options.max_iters; ++iter) {
     double max_delta = 0;
@@ -28,14 +34,11 @@ std::vector<int> MinSumBeliefPropagation(const Mrf& mrf,
       const Mrf::Edge& edge = mrf.edges[e];
       for (int dir = 0; dir < 2; ++dir) {
         const int from = dir == 0 ? edge.u : edge.v;
+        const int to = dir == 0 ? edge.v : edge.u;
         const int mid = 2 * e + dir;
         const int rev = 2 * e + (1 - dir);
         // h(x_from) = node energy + all incoming messages except reverse.
-        std::vector<double> h = mrf.node_energy[from];
-        for (const auto& [in_id, _] : incoming[from]) {
-          if (in_id == rev) continue;
-          for (int x = 0; x < L; ++x) h[x] += msg[in_id][x];
-        }
+        for (int x = 0; x < L; ++x) h[x] = sum[from][x] - msg[rev][x];
         // work(x_to) = min_{x_from} h(x_from) + theta(x_from, x_to).
         for (int xt = 0; xt < L; ++xt) {
           double best = std::numeric_limits<double>::infinity();
@@ -53,6 +56,7 @@ std::vector<int> MinSumBeliefPropagation(const Mrf& mrf,
           double updated = options.damping * msg[mid][xt] +
                            (1.0 - options.damping) * work[xt];
           max_delta = std::max(max_delta, std::fabs(updated - msg[mid][xt]));
+          sum[to][xt] += updated - msg[mid][xt];
           msg[mid][xt] = updated;
         }
       }

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/candidate.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/serde.h"
@@ -29,6 +30,7 @@ constexpr uint32_t SectionTag(char a, char b, char c, char d) {
 
 constexpr uint32_t kSecMeta = SectionTag('M', 'E', 'T', 'A');
 constexpr uint32_t kSecStore = SectionTag('S', 'T', 'O', 'R');
+constexpr uint32_t kSecForward = SectionTag('F', 'W', 'R', 'D');
 constexpr uint32_t kSecIndex = SectionTag('I', 'N', 'D', 'X');
 constexpr uint32_t kSecTruth = SectionTag('T', 'R', 'T', 'H');
 constexpr uint32_t kSecQueries = SectionTag('Q', 'R', 'Y', 'S');
@@ -95,7 +97,36 @@ class SnapshotCodec {
     }
   }
 
-  static Status ReadStore(serde::Reader* r, size_t base, TableStore* store) {
+  /// The forward index (FWRD): per record, its CandidateTable forward
+  /// entry against the index's vocabulary, as an aligned `u64
+  /// offsets[count + 1]` table counted in u32 words plus the word blob,
+  /// covering exactly STOR's id range.
+  static Status WriteForward(const TableStore& store, const CorpusStats& stats,
+                             serde::Writer* w) {
+    const StoreSource& src = *store.source_;
+    std::vector<uint64_t> offsets;
+    offsets.reserve(src.size() + 1);
+    offsets.push_back(0);
+    std::vector<uint32_t> words;
+    for (size_t i = 0; i < src.size(); ++i) {
+      WWT_ASSIGN_OR_RETURN(WebTable table, DeserializeTable(src.record(i)));
+      CandidateTable::AppendForwardEntry(table, stats, &words);
+      offsets.push_back(words.size());
+    }
+    w->WriteU64(store.first_id_);
+    w->WriteU64(src.size());
+    w->AlignTo(8, kHeaderBytes);
+    for (uint64_t off : offsets) w->WriteU64(off);
+    for (uint32_t word : words) w->WriteU32(word);
+    return Status::OK();
+  }
+
+  /// Installs STOR (`r`) and FWRD (`fwd`) as one mapped source. FWRD is
+  /// validated like STOR's offsets — monotone, in bounds, covering the
+  /// same id range — so slicing an entry needs no recheck; its words are
+  /// parsed with bounds checks when a candidate is materialized.
+  static Status ReadStore(serde::Reader* r, size_t base, serde::Reader* fwd,
+                          size_t fwd_base, TableStore* store) {
     uint64_t first_id, count;
     WWT_RETURN_NOT_OK(r->ReadU64(&first_id));
     WWT_RETURN_NOT_OK(r->ReadU64(&count));
@@ -114,6 +145,23 @@ class SnapshotCodec {
         ValidateOffsets(src->offsets, count, "store record", &blob_size));
     WWT_RETURN_NOT_OK(r->ReadRaw(blob_size, 1, &src->blob));
     src->count = static_cast<size_t>(count);
+
+    uint64_t fwd_first_id, fwd_count;
+    WWT_RETURN_NOT_OK(fwd->ReadU64(&fwd_first_id));
+    WWT_RETURN_NOT_OK(fwd->ReadU64(&fwd_count));
+    if (fwd_first_id != first_id || fwd_count != count) {
+      return Status::Corruption("forward index covers ", fwd_count,
+                                " tables from id ", fwd_first_id,
+                                ", the store ", count, " from id ", first_id);
+    }
+    WWT_RETURN_NOT_OK(fwd->AlignTo(8, fwd_base));
+    WWT_RETURN_NOT_OK(fwd->ReadRaw(count + 1, sizeof(uint64_t), &raw));
+    src->forward_offsets = reinterpret_cast<const uint64_t*>(raw);
+    uint64_t num_words;
+    WWT_RETURN_NOT_OK(ValidateOffsets(src->forward_offsets, count,
+                                      "forward index", &num_words));
+    WWT_RETURN_NOT_OK(fwd->ReadRaw(num_words, sizeof(uint32_t), &raw));
+    src->forward_words = reinterpret_cast<const uint32_t*>(raw);
     store->vec_ = nullptr;
     store->source_ = std::move(src);
     store->first_id_ = static_cast<TableId>(first_id);
@@ -639,8 +687,8 @@ Status ParseHeader(std::string_view file, const std::string& path,
 /// store_base/index_base are the bodies' absolute file offsets — the
 /// anchor the section readers verify their alignment markers against.
 struct Sections {
-  std::string_view meta, store, index, truth, queries, harvest;
-  size_t store_base = 0, index_base = 0;
+  std::string_view meta, store, forward, index, truth, queries, harvest;
+  size_t store_base = 0, forward_base = 0, index_base = 0;
 };
 
 Status ParseSections(std::string_view payload, Sections* out,
@@ -664,6 +712,10 @@ Status ParseSections(std::string_view payload, Sections* out,
     switch (tag) {
       case kSecMeta: out->meta = body; break;
       case kSecStore: out->store = body; out->store_base = body_base; break;
+      case kSecForward:
+        out->forward = body;
+        out->forward_base = body_base;
+        break;
       case kSecIndex: out->index = body; out->index_base = body_base; break;
       case kSecTruth: out->truth = body; break;
       case kSecQueries: out->queries = body; break;
@@ -672,8 +724,8 @@ Status ParseSections(std::string_view payload, Sections* out,
     }
   }
   if (out->meta.data() == nullptr || out->store.data() == nullptr ||
-      out->index.data() == nullptr || out->truth.data() == nullptr ||
-      out->queries.data() == nullptr) {
+      out->forward.data() == nullptr || out->index.data() == nullptr ||
+      out->truth.data() == nullptr || out->queries.data() == nullptr) {
     return Status::Corruption("snapshot is missing a required section");
   }
   return Status::OK();
@@ -714,6 +766,12 @@ Status SaveSnapshot(const Corpus& corpus, const CorpusOptions& options,
   {
     size_t s = BeginSection(kSecStore, &payload);
     SnapshotCodec::WriteStore(corpus.store, &payload);
+    EndSection(s, &payload);
+  }
+  {
+    size_t s = BeginSection(kSecForward, &payload);
+    WWT_RETURN_NOT_OK(
+        SnapshotCodec::WriteForward(corpus.store, *corpus.index, &payload));
     EndSection(s, &payload);
   }
   {
@@ -793,8 +851,10 @@ StatusOr<Corpus> LoadSnapshot(serde::InputFile file, const std::string& path,
   Corpus corpus;
   {
     serde::Reader r(sections.store);
-    WWT_RETURN_NOT_OK(
-        SnapshotCodec::ReadStore(&r, sections.store_base, &corpus.store));
+    serde::Reader fwd(sections.forward);
+    WWT_RETURN_NOT_OK(SnapshotCodec::ReadStore(&r, sections.store_base, &fwd,
+                                               sections.forward_base,
+                                               &corpus.store));
   }
   {
     serde::Reader r(sections.index);

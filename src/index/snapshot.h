@@ -1,8 +1,9 @@
 // Copyright 2026 The WWT Authors
 //
 // Persistent index snapshots: one versioned binary `.wwtsnap` file holds
-// the full retrieval state of a built corpus — TableStore records,
-// TableIndex postings and field statistics, Vocabulary, IdfDictionary —
+// the full retrieval state of a built corpus — TableStore records and
+// their forward index, TableIndex postings and field statistics,
+// Vocabulary, IdfDictionary —
 // plus the ground truth and resolved workload the evaluation harness
 // needs. This is the offline/online split of the paper's deployment
 // (§2.1 builds the Lucene index over 25M tables once, then serves
@@ -45,8 +46,10 @@ namespace wwt {
 /// and pins its mapping via Corpus::mapping. v5 replaces v4's sorted
 /// vocabulary permutation with the vocabulary's open-addressing slot
 /// table (text/vocabulary.h), so a mapped lookup is a hash probe, not a
-/// binary search.
-inline constexpr uint32_t kSnapshotFormatVersion = 5;
+/// binary search. v6 adds the required forward index (section FWRD):
+/// each table's CandidateTable forward entry (core/candidate.h), so
+/// serving materializes candidates instead of tokenizing tables.
+inline constexpr uint32_t kSnapshotFormatVersion = 6;
 
 /// First 8 bytes of every snapshot file.
 inline constexpr char kSnapshotMagic[8] = {'W', 'W', 'T', 'S',

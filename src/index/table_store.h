@@ -29,6 +29,15 @@ namespace wwt {
 
 class SnapshotCodec;
 
+/// One table's forward-index entry (snapshot section FWRD, see
+/// docs/SNAPSHOTS.md): `size` u32 words read in place from the snapshot
+/// mapping. The store hands it out uninterpreted; CandidateTable
+/// (core/candidate.h) writes and parses it.
+struct ForwardEntry {
+  const uint32_t* words = nullptr;  // null: the store carries no entries
+  size_t size = 0;
+};
+
 /// Read surface over a store's serialized records. Implementations:
 /// VectorStoreSource (heap strings, build mode) and MappedStoreSource
 /// (offset table + blob read in place from a snapshot mapping).
@@ -40,6 +49,9 @@ class StoreSource {
   /// Serialized bytes of the record at position `pos` (0-based within
   /// this store, not a TableId). `pos` must be < size().
   virtual std::string_view record(size_t pos) const = 0;
+  /// The forward-index entry of the record at `pos`; empty when the
+  /// source carries no forward index (build mode).
+  virtual ForwardEntry forward(size_t /*pos*/) const { return {}; }
   /// True when the records are served from a file mapping.
   virtual bool mapped() const = 0;
   /// Approximate heap bytes owned by this source.
@@ -65,8 +77,9 @@ class VectorStoreSource final : public StoreSource {
 
 /// Zero-copy source: a `u64 offsets[count + 1]` table plus a blob, both
 /// pointing into a snapshot mapping whose lifetime the owning Corpus
-/// pins (`Corpus::mapping`). Offsets are validated monotone at load, so
-/// record() can slice without rechecking.
+/// pins (`Corpus::mapping`), and the forward index laid out the same way
+/// in u32 words. Offsets are validated monotone at load, so record() and
+/// forward() can slice without rechecking.
 class MappedStoreSource final : public StoreSource {
  public:
   size_t size() const override { return count; }
@@ -74,12 +87,19 @@ class MappedStoreSource final : public StoreSource {
     return std::string_view(blob + offsets[pos],
                             offsets[pos + 1] - offsets[pos]);
   }
+  ForwardEntry forward(size_t pos) const override {
+    return {forward_words + forward_offsets[pos],
+            static_cast<size_t>(forward_offsets[pos + 1] -
+                                forward_offsets[pos])};
+  }
   bool mapped() const override { return true; }
   size_t HeapBytes() const override { return 0; }
 
   const uint64_t* offsets = nullptr;  // [count + 1], offsets[0] == 0
   const char* blob = nullptr;
   size_t count = 0;
+  const uint64_t* forward_offsets = nullptr;  // [count + 1], in words
+  const uint32_t* forward_words = nullptr;
 };
 
 /// Append-only table storage keyed by dense TableId.
@@ -113,6 +133,12 @@ class TableStore {
 
   /// Deserializes table `id`. NotFound outside [first_id(), end_id()).
   StatusOr<WebTable> Get(TableId id) const;
+
+  /// Table `id`'s forward-index entry when the store serves a snapshot;
+  /// empty in build mode. `id` must be in [first_id(), end_id()).
+  ForwardEntry Forward(TableId id) const {
+    return source_->forward(id - first_id_);
+  }
 
   /// Bytes of the serialized record (for size accounting in benches).
   size_t RecordSize(TableId id) const;

@@ -1,6 +1,7 @@
 #include "table/web_table.h"
 
-#include <sstream>
+#include <charconv>
+#include <system_error>
 
 #include "util/string_util.h"
 
@@ -15,38 +16,82 @@ void AppendField(std::string* out, const std::string& value) {
   *out += '\n';
 }
 
-/// Reads one "<len>:<bytes>\n" field starting at *pos.
-Status ReadField(std::string_view data, size_t* pos, std::string* out) {
-  size_t colon = data.find(':', *pos);
-  if (colon == std::string::npos) {
+/// Reads one "<len>:<bytes>\n" field starting at *pos, as a view into
+/// `data`.
+Status ReadField(std::string_view data, size_t* pos, std::string_view* out) {
+  const size_t colon = data.find(':', *pos);
+  if (colon == std::string_view::npos) {
     return Status::Corruption("missing length prefix at offset ", *pos);
   }
+  const size_t avail = data.size() - (colon + 1);
   size_t len = 0;
   for (size_t i = *pos; i < colon; ++i) {
     if (data[i] < '0' || data[i] > '9') {
       return Status::Corruption("bad length digit at offset ", i);
     }
     len = len * 10 + static_cast<size_t>(data[i] - '0');
+    if (len > avail) {
+      return Status::Corruption("field overruns buffer at offset ", *pos);
+    }
   }
-  if (colon + 1 + len + 1 > data.size() + 1) {
-    return Status::Corruption("field overruns buffer at offset ", *pos);
-  }
-  if (colon + 1 + len > data.size()) {
-    return Status::Corruption("field overruns buffer at offset ", *pos);
-  }
-  out->assign(data.substr(colon + 1, len));
+  *out = data.substr(colon + 1, len);
   *pos = colon + 1 + len;
   if (*pos < data.size() && data[*pos] == '\n') ++*pos;
   return Status::OK();
 }
 
-Status ReadInt(std::string_view data, size_t* pos, int64_t* out) {
-  std::string field;
+Status ReadField(std::string_view data, size_t* pos, std::string* out) {
+  std::string_view field;
   WWT_RETURN_NOT_OK(ReadField(data, pos, &field));
-  try {
-    *out = std::stoll(field);
-  } catch (...) {
-    return Status::Corruption("expected integer, got '", field, "'");
+  out->assign(field);
+  return Status::OK();
+}
+
+/// Parses the whole of `field` as a T with std::from_chars: no sign but
+/// '-', no surrounding space, no trailing bytes.
+template <typename T>
+bool ParseWhole(std::string_view field, T* out) {
+  const char* end = field.data() + field.size();
+  const std::from_chars_result r = std::from_chars(field.data(), end, *out);
+  return r.ec == std::errc() && r.ptr == end;
+}
+
+Status ReadInt(std::string_view data, size_t* pos, int64_t* out) {
+  std::string_view field;
+  WWT_RETURN_NOT_OK(ReadField(data, pos, &field));
+  if (!ParseWhole(field, out)) {
+    return Status::Corruption("expected integer, got '", std::string(field),
+                              "'");
+  }
+  return Status::OK();
+}
+
+/// Reads a row count and checks that `count` rows of `width` fields can
+/// fit in the rest of `data` (a field takes at least the two bytes
+/// "0:"), so a tampered count can neither reserve nor loop past it.
+Status ReadRowCount(std::string_view data, size_t* pos, int width,
+                    int64_t* count) {
+  WWT_RETURN_NOT_OK(ReadInt(data, pos, count));
+  const uint64_t min_row_bytes = 2 * static_cast<uint64_t>(width);
+  if (*count < 0 ||
+      (min_row_bytes > 0 &&
+       static_cast<uint64_t>(*count) > (data.size() - *pos) / min_row_bytes)) {
+    return Status::Corruption("implausible row count ", *count, " at offset ",
+                              *pos);
+  }
+  return Status::OK();
+}
+
+/// Reads `count` rows of `width` fields each. A zero-width row takes no
+/// bytes, so only a bounded (width > 0) count is reserved.
+Status ReadRows(std::string_view data, size_t* pos, int width, int64_t count,
+                std::vector<std::vector<std::string>>* rows) {
+  if (width > 0) rows->reserve(static_cast<size_t>(count));
+  for (int64_t i = 0; i < count; ++i) {
+    std::vector<std::string>& row = rows->emplace_back(width);
+    for (int c = 0; c < width; ++c) {
+      WWT_RETURN_NOT_OK(ReadField(data, pos, &row[c]));
+    }
   }
   return Status::OK();
 }
@@ -98,10 +143,11 @@ std::string SerializeTable(const WebTable& table) {
 
 StatusOr<WebTable> DeserializeTable(std::string_view data) {
   size_t pos = 0;
-  std::string version;
+  std::string_view version;
   WWT_RETURN_NOT_OK(ReadField(data, &pos, &version));
   if (version != "wwt1") {
-    return Status::Corruption("unknown table format '", version, "'");
+    return Status::Corruption("unknown table format '", std::string(version),
+                              "'");
   }
   WebTable t;
   int64_t v = 0;
@@ -112,51 +158,34 @@ StatusOr<WebTable> DeserializeTable(std::string_view data) {
   t.ordinal = static_cast<int>(v);
   WWT_RETURN_NOT_OK(ReadInt(data, &pos, &v));
   t.num_cols = static_cast<int>(v);
-  if (t.num_cols < 0 || t.num_cols > 10000) {
-    return Status::Corruption("implausible column count ", t.num_cols);
+  if (v < 0 || v > 10000) {
+    return Status::Corruption("implausible column count ", v);
   }
 
   int64_t n_titles = 0;
-  WWT_RETURN_NOT_OK(ReadInt(data, &pos, &n_titles));
-  for (int64_t i = 0; i < n_titles; ++i) {
-    std::string s;
-    WWT_RETURN_NOT_OK(ReadField(data, &pos, &s));
-    t.title_rows.push_back(std::move(s));
+  WWT_RETURN_NOT_OK(ReadRowCount(data, &pos, 1, &n_titles));
+  t.title_rows.resize(static_cast<size_t>(n_titles));
+  for (std::string& title : t.title_rows) {
+    WWT_RETURN_NOT_OK(ReadField(data, &pos, &title));
   }
 
-  int64_t n_headers = 0;
-  WWT_RETURN_NOT_OK(ReadInt(data, &pos, &n_headers));
-  for (int64_t i = 0; i < n_headers; ++i) {
-    std::vector<std::string> row(t.num_cols);
-    for (int c = 0; c < t.num_cols; ++c) {
-      WWT_RETURN_NOT_OK(ReadField(data, &pos, &row[c]));
-    }
-    t.header_rows.push_back(std::move(row));
-  }
-
-  int64_t n_body = 0;
-  WWT_RETURN_NOT_OK(ReadInt(data, &pos, &n_body));
-  for (int64_t i = 0; i < n_body; ++i) {
-    std::vector<std::string> row(t.num_cols);
-    for (int c = 0; c < t.num_cols; ++c) {
-      WWT_RETURN_NOT_OK(ReadField(data, &pos, &row[c]));
-    }
-    t.body.push_back(std::move(row));
-  }
+  int64_t n_rows = 0;
+  WWT_RETURN_NOT_OK(ReadRowCount(data, &pos, t.num_cols, &n_rows));
+  WWT_RETURN_NOT_OK(ReadRows(data, &pos, t.num_cols, n_rows, &t.header_rows));
+  WWT_RETURN_NOT_OK(ReadRowCount(data, &pos, t.num_cols, &n_rows));
+  WWT_RETURN_NOT_OK(ReadRows(data, &pos, t.num_cols, n_rows, &t.body));
 
   int64_t n_ctx = 0;
-  WWT_RETURN_NOT_OK(ReadInt(data, &pos, &n_ctx));
-  for (int64_t i = 0; i < n_ctx; ++i) {
-    ContextSnippet snip;
+  WWT_RETURN_NOT_OK(ReadRowCount(data, &pos, 2, &n_ctx));
+  t.context.resize(static_cast<size_t>(n_ctx));
+  for (ContextSnippet& snip : t.context) {
     WWT_RETURN_NOT_OK(ReadField(data, &pos, &snip.text));
-    std::string score;
+    std::string_view score;
     WWT_RETURN_NOT_OK(ReadField(data, &pos, &score));
-    try {
-      snip.score = std::stod(score);
-    } catch (...) {
-      return Status::Corruption("bad snippet score '", score, "'");
+    if (!ParseWhole(score, &snip.score)) {
+      return Status::Corruption("bad snippet score '", std::string(score),
+                                "'");
     }
-    t.context.push_back(std::move(snip));
   }
   return t;
 }

@@ -8,7 +8,7 @@
 //  * heap mode (the default): a term vector plus the slot table, mutable
 //    via Intern();
 //  * mapped mode: an offset table + term blob + the slot table read in
-//    place from a memory-mapped v5 snapshot — immutable, zero heap.
+//    place from a memory-mapped snapshot — immutable, zero heap.
 // The table holds SlotCountFor(size()) slots, filled by inserting ids in
 // ascending order at their HomeSlot() with linear probing, so
 // it is a function of the terms alone: the snapshot writer stores it as
@@ -47,12 +47,12 @@ class Vocabulary {
   /// Slots for a table of `num_terms` terms: the smallest power of two
   /// that is at least 2 * num_terms (1 for an empty vocabulary), so the
   /// load factor stays at or below 1/2 and a probe always reaches an
-  /// empty slot. Part of snapshot format v5.
+  /// empty slot. Part of the snapshot format since v5.
   static uint64_t SlotCountFor(uint64_t num_terms);
 
   /// A term's home slot in a table of `num_slots` (a power of two)
   /// slots; a probe walks on to the next slot, wrapping, until it finds
-  /// the term or an empty slot. Part of snapshot format v5.
+  /// the term or an empty slot. Part of the snapshot format since v5.
   static uint64_t HomeSlot(std::string_view term, uint64_t num_slots) {
     const uint64_t h = Fnv1a(term);
     return (h ^ (h >> 32)) & (num_slots - 1);

@@ -191,8 +191,8 @@ std::vector<CandidateTable> WwtEngine::ReadTables(
   for (const ScoredDoc& doc : docs) {
     if (skip.count(doc.doc)) continue;
     // Overlay tables (fresh, updated or patched) are read from the
-    // delta; a frozen id the overlay supersedes never reaches here (its
-    // hits are dropped in Probe).
+    // delta and tokenized; a frozen id the overlay supersedes never
+    // reaches here (its hits are dropped in Probe).
     if (overlay_ != nullptr && overlay_->Contains(doc.doc)) {
       StatusOr<WebTable> table = overlay_->Read(doc.doc);
       if (!table.ok()) {
@@ -216,7 +216,21 @@ std::vector<CandidateTable> WwtEngine::ReadTables(
                        << table.status().ToString();
       continue;
     }
-    out.push_back(CandidateTable::Build(std::move(table).value(), *stats_));
+    // A snapshot-served table materializes from its forward-index
+    // entry; a heap-built store has none, so its tables are tokenized.
+    const ForwardEntry entry = store->Forward(doc.doc);
+    if (entry.words == nullptr) {
+      out.push_back(CandidateTable::Build(std::move(table).value(), *stats_));
+      continue;
+    }
+    StatusOr<CandidateTable> cand = CandidateTable::FromForwardEntry(
+        std::move(table).value(), entry, *stats_);
+    if (!cand.ok()) {
+      WWT_LOG(Warning) << "skipping unreadable table " << doc.doc << ": "
+                       << cand.status().ToString();
+      continue;
+    }
+    out.push_back(std::move(cand).value());
   }
   return out;
 }

@@ -163,7 +163,7 @@ TEST_F(SnapshotTest, VersionBelowMinimumIsRejected) {
   // is an InvalidArgument naming that version, never a decode attempt.
   const std::string path = SavedSnapshot("old_version");
   const std::string contents = ReadFile(path);
-  for (uint32_t version : {1u, 2u, 3u, 4u}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
     std::string stamped = contents;
     stamped[8] = static_cast<char>(version);  // u32 LSB
     WriteFile(path, stamped);
@@ -322,6 +322,57 @@ TEST_F(SnapshotTest, V4OffsetTableTamperFailsCleanly) {
   EXPECT_TRUE(loaded.status().IsCorruption()) << loaded.status();
   EXPECT_NE(loaded.status().message().find("monotone"), std::string::npos)
       << loaded.status();
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotTest, ForwardIndexTamperFailsAtLoad) {
+  // FWRD is validated like STOR: offsets monotone, and the same id range
+  // as the store. Body: u64 first_id, u64 count, [u32 pad_len][pad],
+  // u64 offsets[count + 1] (in u32 words), u32 words[].
+  const std::string path = SavedSnapshot("fwrd_tamper");
+  const std::string contents = ReadFile(path);
+  const size_t fwrd = SectionBodyOffset(contents, "FWRD");
+  ASSERT_NE(fwrd, std::string::npos);
+  uint64_t count;
+  std::memcpy(&count, contents.data() + fwrd + 8, sizeof(count));
+  ASSERT_EQ(count, GetCorpus().store.size());
+  const size_t pad_len = static_cast<uint8_t>(contents[fwrd + 16]);
+  const size_t offsets = fwrd + 16 + 4 + pad_len;
+
+  auto expect_corruption = [&](const std::string& tampered, const char* what,
+                               const char* message) {
+    WriteFile(path, tampered);
+    StatusOr<Corpus> loaded = LoadSnapshot(path);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_TRUE(loaded.status().IsCorruption())
+        << what << ": " << loaded.status();
+    EXPECT_NE(loaded.status().message().find(message), std::string::npos)
+        << what << ": " << loaded.status();
+  };
+  auto put_u64 = [](std::string* s, size_t pos, uint64_t v) {
+    std::memcpy(s->data() + pos, &v, sizeof(v));
+  };
+
+  std::string t = contents;
+  put_u64(&t, offsets + 8, ~uint64_t{0});  // offsets[1]
+  expect_corruption(t, "offsets[1] = 2^64-1", "monotone");
+  t = contents;
+  put_u64(&t, offsets, 1);  // offsets[0]
+  expect_corruption(t, "offsets[0] = 1", "does not start at 0");
+  t = contents;
+  put_u64(&t, fwrd + 8, count - 1);
+  expect_corruption(t, "count - 1", "forward index covers");
+  t = contents;
+  put_u64(&t, fwrd, 1);
+  expect_corruption(t, "first id 1", "forward index covers");
+  t = contents;
+  put_u64(&t, offsets + 8 * count, ~uint64_t{0} / 2);  // offsets[count]
+  expect_corruption(t, "blob past the section", "truncated");
+
+  // A file without the section is refused: every v6 snapshot has it.
+  t = contents;
+  t.replace(fwrd - 12, 4, "FWRX");
+  expect_corruption(t, "no FWRD", "missing a required section");
   std::remove(path.c_str());
 }
 
