@@ -82,19 +82,6 @@ inline int EnvInt(const char* name, int fallback, int min = 1) {
 /// for undistorted per-query stage timing).
 inline int EnvThreads() { return EnvInt("WWT_THREADS", 1); }
 
-/// WWT_SCORER — probe scorer of the experiment benches ("wand" default,
-/// "exhaustive" for the reference path). Results are identical either
-/// way; benches stamp the choice into their output so recorded
-/// trajectories identify which scorer produced them.
-inline ProbeScorer EnvScorer() {
-  const char* s = EnvValue("WWT_SCORER");
-  ProbeScorer scorer = ProbeScorer::kWand;
-  if (s != nullptr && !ParseProbeScorer(s, &scorer)) {
-    BadEnv("WWT_SCORER", "'wand' or 'exhaustive'", s);
-  }
-  return scorer;
-}
-
 /// Everything the experiment benches share.
 struct Experiment {
   Corpus corpus;
@@ -113,8 +100,6 @@ struct Experiment {
 inline Experiment BuildExperiment(double scale = EnvScale(),
                                   uint64_t seed = EnvSeed()) {
   Experiment e;
-  EngineOptions engine_options;
-  engine_options.scorer = EnvScorer();
   CorpusOptions options;
   options.seed = seed;
   options.scale = scale;
@@ -135,7 +120,7 @@ inline Experiment BuildExperiment(double scale = EnvScale(),
                  result.loaded ? "loaded" : "built", snapshot.c_str(),
                  result.seconds);
   }
-  e.harness = std::make_unique<EvalHarness>(&e.corpus, engine_options);
+  e.harness = std::make_unique<EvalHarness>(&e.corpus);
   e.cases = e.harness->BuildCases();
   std::fprintf(stderr, "[bench] %zu tables, %zu queries\n",
                e.corpus.store.size(), e.cases.size());

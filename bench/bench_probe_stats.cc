@@ -52,9 +52,7 @@ int main() {
     }
   }
 
-  std::printf("=== §2.2.1: two-phase index probe statistics (%s scorer) "
-              "===\n",
-              ProbeScorerName(e.harness->engine_options().scorer));
+  std::printf("=== §2.2.1: two-phase index probe statistics ===\n");
   std::printf("Queries with candidates: %d; used second probe: %d "
               "(%.0f%%; paper 65%%)\n",
               with_candidates, used_second,
@@ -70,8 +68,7 @@ int main() {
                         second_stage_share_n
                   : 0.0);
 
-  // Machine-readable summary (WWT_BENCH_JSON), scorer-stamped so
-  // recorded trajectories identify which probe algorithm produced them.
+  // Machine-readable summary (WWT_BENCH_JSON).
   if (FILE* json = OpenBenchJson()) {
     std::fprintf(
         json,
@@ -79,7 +76,6 @@ int main() {
         "  \"bench\": \"probe_stats\",\n"
         "  \"scale\": %.4f,\n"
         "  \"seed\": %llu,\n"
-        "  \"scorer\": \"%s\",\n"
         "  \"queries_with_candidates\": %d,\n"
         "  \"used_second_probe\": %d,\n"
         "  \"stage1_relevant_fraction\": %.4f,\n"
@@ -87,7 +83,6 @@ int main() {
         "  \"stage2_relevant_share\": %.4f\n"
         "}\n",
         EnvScale(), static_cast<unsigned long long>(EnvSeed()),
-        ProbeScorerName(e.harness->engine_options().scorer),
         with_candidates, used_second,
         static_cast<double>(stage1_rel) /
             std::max<int64_t>(stage1_total, 1),

@@ -20,7 +20,9 @@
 // shards behind one service (the wwt_indexer --shards serving shape):
 // every point is byte-verified against the serial reference — global
 // IDF makes the scatter-gathered merge order-independent — and QPS
-// relative to the unsharded engine lands in `shard_fanout`.
+// relative to the unsharded engine lands in `shard_fanout`. Each
+// point's QPS is the median of five batches, run in rounds across the
+// points.
 //
 // When WWT_SNAPSHOT is set the corpus is build-or-loaded through the
 // snapshot file and the bench additionally measures the cold-start
@@ -37,6 +39,7 @@
 //                            bench job sets it)
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -280,9 +283,13 @@ int main() {
   // ---- Shard fan-out sweep: the same corpus partitioned N ways behind
   // one service (the wwt_indexer --shards serving shape). Global IDF
   // makes the scatter-gathered answers order-independent, so every
-  // point is byte-verified against the same serial reference; the
+  // batch is byte-verified against the same serial reference; the
   // interesting number is how much the fan-out machinery costs (or
-  // buys, on multicore) relative to the unsharded engine.
+  // buys, on multicore) relative to the unsharded engine. A point's QPS
+  // is the median of kFanoutBatches batches, run in rounds of one
+  // batch per point: one slow batch moves no median, and a slowdown
+  // partway through the sweep lands on every point, not on the last.
+  constexpr int kFanoutBatches = 5;
   struct ShardPoint {
     int shards = 0;
     double qps = 0;
@@ -291,7 +298,7 @@ int main() {
   };
   std::vector<ShardPoint> shard_sweep;
   {
-    double qps_n1 = 0;
+    std::vector<std::unique_ptr<WwtService>> services;
     for (int n : {1, 2, 4, 8}) {
       std::vector<Corpus> parts = PartitionCorpus(served, n);
       std::vector<std::shared_ptr<const CorpusHandle>> shards;
@@ -305,25 +312,36 @@ int main() {
           WwtService::Create(options);
       WWT_CHECK(service.ok()) << service.status();
       (*service)->SwapCorpus(CorpusSet::Of(std::move(shards)));
-
-      BatchResponse batch = (*service)->RunBatch(queries);
+      services.push_back(std::move(service).value());
       ShardPoint point;
       point.shards = n;
-      point.qps = batch.stats.qps;
-      for (size_t i = 0; i < queries.size(); ++i) {
-        WWT_CHECK(batch.responses[i].ok()) << batch.responses[i].status;
-        if (ResultDigest(batch.responses[i]) != serial_fp[i]) {
-          point.identical = false;
-          all_identical = false;
-          std::fprintf(stderr,
-                       "[bench] SHARD MISMATCH vs serial at query %zu "
-                       "(%d shards)\n",
-                       i, n);
+      shard_sweep.push_back(point);
+    }
+    std::vector<std::vector<double>> batch_qps(services.size());
+    for (int round = 0; round < kFanoutBatches; ++round) {
+      for (size_t p = 0; p < services.size(); ++p) {
+        BatchResponse batch = services[p]->RunBatch(queries);
+        batch_qps[p].push_back(batch.stats.qps);
+        for (size_t i = 0; i < queries.size(); ++i) {
+          WWT_CHECK(batch.responses[i].ok()) << batch.responses[i].status;
+          if (ResultDigest(batch.responses[i]) != serial_fp[i]) {
+            shard_sweep[p].identical = false;
+            all_identical = false;
+            std::fprintf(stderr,
+                         "[bench] SHARD MISMATCH vs serial at query %zu "
+                         "(%d shards)\n",
+                         i, shard_sweep[p].shards);
+          }
         }
       }
-      if (n == 1) qps_n1 = point.qps;
+    }
+    for (size_t p = 0; p < services.size(); ++p) {
+      std::sort(batch_qps[p].begin(), batch_qps[p].end());
+      shard_sweep[p].qps = batch_qps[p][kFanoutBatches / 2];
+    }
+    const double qps_n1 = shard_sweep[0].qps;
+    for (ShardPoint& point : shard_sweep) {
       point.vs_unsharded = qps_n1 > 0 ? point.qps / qps_n1 : 0.0;
-      shard_sweep.push_back(point);
     }
   }
   std::printf("\nshard fan-out (at %d threads): ", max_threads);

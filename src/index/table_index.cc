@@ -47,18 +47,6 @@ const char* ProbeScorerName(ProbeScorer scorer) {
   return "unknown";
 }
 
-bool ParseProbeScorer(const std::string& name, ProbeScorer* out) {
-  if (name == "wand") {
-    *out = ProbeScorer::kWand;
-    return true;
-  }
-  if (name == "exhaustive") {
-    *out = ProbeScorer::kExhaustive;
-    return true;
-  }
-  return false;
-}
-
 size_t HeapPostingsSource::HeapBytes() const {
   size_t bytes = 0;
   for (const auto& field : postings) {

@@ -53,10 +53,8 @@ enum class ProbeScorer : int {
   kExhaustive = 1,
 };
 
-/// "wand" / "exhaustive" (for logs, bench stamps and CLI flags).
+/// "wand" / "exhaustive" (for logs and bench stamps).
 const char* ProbeScorerName(ProbeScorer scorer);
-/// Inverse of ProbeScorerName; false if `name` matches neither.
-bool ParseProbeScorer(const std::string& name, ProbeScorer* out);
 
 struct IndexOptions {
   /// Per-field boosts, §2.1: header 2.0, context 1.5, content 1.0.

@@ -18,23 +18,6 @@ namespace wwt {
 
 class SnapshotCodec;
 
-/// Supplies IDF weights. Implemented by IdfDictionary (corpus statistics)
-/// and UniformIdf (tests / standalone use).
-class IdfProvider {
- public:
-  virtual ~IdfProvider() = default;
-
-  /// IDF weight of a term; must be >= 0. Unknown terms get the weight of a
-  /// document frequency of zero (maximally informative).
-  virtual double Idf(TermId term) const = 0;
-};
-
-/// Every term weighs 1.0; cosine degenerates to set overlap.
-class UniformIdf : public IdfProvider {
- public:
-  double Idf(TermId) const override { return 1.0; }
-};
-
 /// Document-frequency dictionary accumulated over a corpus.
 /// Idf(w) = ln(1 + N / (1 + df(w))) — the +1s keep rare/unknown terms
 /// finite and make the function monotone in N.
@@ -43,7 +26,7 @@ class UniformIdf : public IdfProvider {
 /// a memory-mapped snapshot (immutable). Copying a mapped dictionary
 /// materializes the table, so a copy never dangles into a mapping it
 /// does not own (the sharding path copies global IDF into every shard).
-class IdfDictionary : public IdfProvider {
+class IdfDictionary {
  public:
   IdfDictionary() = default;
   IdfDictionary(IdfDictionary&&) = default;
@@ -64,7 +47,9 @@ class IdfDictionary : public IdfProvider {
   /// True when the df table is served in place from a snapshot mapping.
   bool mapped() const { return m_df_ != nullptr; }
 
-  double Idf(TermId term) const override;
+  /// IDF weight of a term, >= 0. Unknown terms get the weight of a
+  /// document frequency of zero (maximally informative).
+  double Idf(TermId term) const;
 
  private:
   /// Snapshot save/load (src/index/snapshot.cc) restores the df table

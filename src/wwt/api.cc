@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/hash.h"
+#include "util/string_util.h"
 
 namespace wwt {
 
@@ -136,14 +137,10 @@ Status ValidateQueryRequest(const QueryRequest& request) {
                                    kMaxQueryColumns);
   }
   for (size_t i = 0; i < request.columns.size(); ++i) {
-    const std::string& col = request.columns[i];
-    if (col.find_first_not_of(" \t\r\n") == std::string::npos) {
+    if (StripWhitespace(request.columns[i]).empty()) {
       return Status::InvalidArgument("column ", i + 1,
                                      " is empty or whitespace-only");
     }
-  }
-  if (request.options.has_value()) {
-    WWT_RETURN_NOT_OK(ValidateEngineOptions(*request.options));
   }
   return Status::OK();
 }
@@ -259,11 +256,11 @@ std::string ResultDigest(const RetrievalResult& retrieval,
   return out.str();
 }
 
-uint64_t RequestFingerprint(const QueryRequest& request,
-                            const EngineOptions& effective_options,
+uint64_t RequestFingerprint(const std::vector<std::string>& columns,
+                            uint64_t options_fingerprint,
                             uint64_t corpus_content_hash) {
-  uint64_t h = Fnv1a(CanonicalQueryKey(request.columns));
-  h = HashCombine(h, EngineOptionsFingerprint(effective_options));
+  uint64_t h = Fnv1a(CanonicalQueryKey(columns));
+  h = HashCombine(h, options_fingerprint);
   h = HashCombine(h, corpus_content_hash);
   return FinalizeFingerprint(h);
 }

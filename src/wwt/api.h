@@ -2,16 +2,16 @@
 //
 // The public serving API: structured requests and responses for the
 // column-keyword table-search service. A QueryRequest carries the
-// column keywords plus per-request options (EngineOptions overrides, a
-// deadline, a caller tag); a QueryResponse carries a Status — never a
-// crash — plus the answer, retrieval/mapping diagnostics, per-stage
-// timing, and a fingerprint (canonicalized request + engine options +
-// corpus content hash) that is the cache key for the upcoming
-// query-fingerprint response cache.
+// column keywords, a deadline and a caller tag; every request is served
+// with its service's one set of EngineOptions (ServiceOptions::engine).
+// A QueryResponse carries a Status — never a crash — plus the answer,
+// retrieval/mapping diagnostics, per-stage timing, and a fingerprint
+// (canonicalized columns + engine options + corpus content hash) that
+// keys the response cache.
 //
 // Error contract (checked in this order by WwtService::Submit):
-//   InvalidArgument    — empty/over-long keyword lists, empty columns,
-//                        or an out-of-range EngineOptions override.
+//   InvalidArgument    — empty/over-long keyword lists, or an empty or
+//                        whitespace-only column.
 //   DeadlineExceeded   — the deadline passed before execution started
 //                        (at submit, or while queued). Deadlines gate
 //                        admission and dequeue; pipeline stages are not
@@ -24,7 +24,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,9 +40,6 @@ struct QueryRequest {
   /// Opaque caller label, echoed back in the response (not part of the
   /// fingerprint).
   std::string tag;
-  /// Per-request engine overrides; unset = the service defaults.
-  /// Validated at submit (InvalidArgument on out-of-range fields).
-  std::optional<EngineOptions> options;
   /// Absolute deadline; max() = none. Checked at submit and again when a
   /// worker dequeues the request (not mid-pipeline).
   std::chrono::steady_clock::time_point deadline =
@@ -68,10 +64,6 @@ struct QueryRequest {
                    std::chrono::duration<double>(seconds));
     return *this;
   }
-  QueryRequest& WithOptions(EngineOptions o) {
-    options = std::move(o);
-    return *this;
-  }
 };
 
 /// Everything the service returns for one request. When `status` is not
@@ -82,7 +74,7 @@ struct QueryResponse {
   Status status;
   /// Echo of QueryRequest::tag.
   std::string tag;
-  /// Cache key: canonicalized columns + effective engine options +
+  /// Cache key: canonicalized columns + the service's engine options +
   /// corpus content hash. 0 when the request never reached a corpus.
   uint64_t fingerprint = 0;
   /// content_hash of the corpus snapshot that served the request.
@@ -177,8 +169,9 @@ inline constexpr size_t kMaxQueryColumns = 16;
 /// InvalidArgument naming the field. OK options are safe to serve with.
 [[nodiscard]] Status ValidateEngineOptions(const EngineOptions& options);
 
-/// Rejects an empty column list, empty/whitespace-only columns, more
-/// than kMaxQueryColumns columns, and an out-of-range options override.
+/// Rejects an empty column list, empty/whitespace-only columns (the
+/// std::isspace set, as CanonicalQueryKey reads it) and more than
+/// kMaxQueryColumns columns.
 [[nodiscard]] Status ValidateQueryRequest(const QueryRequest& request);
 
 /// Canonical form of a column keyword list: per column, lowercased with
@@ -206,12 +199,13 @@ constexpr uint64_t FinalizeFingerprint(uint64_t h) {
   return h == 0 ? kZeroFingerprintRemap : h;
 }
 
-/// The response-cache key: canonicalized columns + effective options +
-/// the serving corpus's content hash, finalized so it is never 0 (the
-/// invalid-request sentinel). Tag and deadline do not affect the answer
-/// and are excluded.
-uint64_t RequestFingerprint(const QueryRequest& request,
-                            const EngineOptions& effective_options,
+/// The response-cache key: canonicalized columns + the serving
+/// options' EngineOptionsFingerprint + the serving corpus's content
+/// hash, finalized so it is never 0 (the invalid-request sentinel). A
+/// request's tag and deadline do not affect the answer and are not
+/// inputs.
+uint64_t RequestFingerprint(const std::vector<std::string>& columns,
+                            uint64_t options_fingerprint,
                             uint64_t corpus_content_hash);
 
 /// Serializes everything observable about a served result — candidate

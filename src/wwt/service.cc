@@ -41,6 +41,7 @@ Status ValidateServiceOptions(const ServiceOptions& options) {
 
 WwtService::WwtService(ServiceOptions options)
     : options_(std::move(options)),
+      options_fingerprint_(EngineOptionsFingerprint(options_.engine)),
       cache_(options_.cache.capacity_bytes > 0
                  ? std::make_unique<ResponseCache>(options_.cache)
                  : nullptr),
@@ -171,49 +172,50 @@ std::future<QueryResponse> WwtService::SubmitOn(Serving serving,
   // Error contract, in order: InvalidArgument, DeadlineExceeded,
   // FailedPrecondition (see api.h). An expired request never touches
   // serving state, so the deadline outranks the corpus check.
-  QueryResponse early;
-  early.tag = request.tag;
+  QueryResponse head;
+  head.tag = request.tag;
   Status valid = ValidateQueryRequest(request);
   if (!valid.ok()) {
-    early.status = std::move(valid);
-    return Ready(std::move(early));
+    head.status = std::move(valid);
+    return Ready(std::move(head));
+  }
+  // The cache key, computed once: every path below (expired here or in
+  // the queue, threw, hit, coalesced, led or uncached) starts from this
+  // head, so where a request ends never changes how it is keyed. Keyed
+  // by the EFFECTIVE hash: with a non-empty delta captured, the
+  // freshness hash is folded in, so no cached response outlives a
+  // mutation or crosses a merge boundary. No corpus, no key.
+  if (serving.corpus != nullptr) {
+    head.corpus_hash = EffectiveHash(serving);
+    head.fingerprint = RequestFingerprint(
+        request.columns, options_fingerprint_, head.corpus_hash);
   }
   if (DeadlinePassed(request)) {
-    // Same cache-key stamping as a queue expiry (when a corpus exists):
-    // where the deadline fired must not change how a response is keyed.
-    if (serving.corpus != nullptr) {
-      StampCacheKey(&early, request, serving);
-    }
-    early.status =
+    head.status =
         Status::DeadlineExceeded("deadline already expired at submit");
-    return Ready(std::move(early));
+    return Ready(std::move(head));
   }
   if (serving.corpus == nullptr) {
-    early.status = Status::FailedPrecondition(
+    head.status = Status::FailedPrecondition(
         "no corpus loaded; call SwapCorpus with a snapshot first");
-    return Ready(std::move(early));
+    return Ready(std::move(head));
   }
 
   WallTimer queued;
   return pool_.Submit([this, serving = std::move(serving),
-                       request = std::move(request),
+                       request = std::move(request), head = std::move(head),
                        queued]() mutable -> QueryResponse {
-    const double queue_seconds = queued.ElapsedSeconds();
+    head.queue_seconds = queued.ElapsedSeconds();
     QueryResponse response;
     if (DeadlinePassed(request)) {
-      response.tag = request.tag;
-      response.queue_seconds = queue_seconds;
-      StampCacheKey(&response, request, serving);
+      response = std::move(head);
       response.status = Status::DeadlineExceeded(
-          "deadline expired after ", queue_seconds, " s in queue");
+          "deadline expired after ", response.queue_seconds, " s in queue");
     } else {
       try {
-        response = ServeOn(serving, request, queue_seconds);
+        response = ServeOn(serving, request, head);
       } catch (const std::exception& e) {
-        response = QueryResponse{};
-        response.tag = request.tag;
-        response.queue_seconds = queue_seconds;
-        StampCacheKey(&response, request, serving);
+        response = std::move(head);
         response.status =
             Status::Internal("query execution threw: ", e.what());
       }
@@ -229,30 +231,16 @@ std::future<QueryResponse> WwtService::SubmitOn(Serving serving,
   });
 }
 
-void WwtService::StampCacheKey(QueryResponse* response,
-                               const QueryRequest& request,
-                               const Serving& serving) const {
-  const uint64_t hash = EffectiveHash(serving);
-  response->corpus_hash = hash;
-  response->fingerprint = RequestFingerprint(
-      request,
-      request.options.has_value() ? *request.options : options_.engine,
-      hash);
-}
-
 QueryResponse WwtService::ServeOn(const Serving& serving,
                                   const QueryRequest& request,
-                                  double queue_seconds) const {
-  if (cache_ == nullptr) return ExecuteOn(serving, request, queue_seconds);
-  const EngineOptions& effective =
-      request.options.has_value() ? *request.options : options_.engine;
-  const uint64_t key =
-      RequestFingerprint(request, effective, EffectiveHash(serving));
+                                  const QueryResponse& head) const {
+  if (cache_ == nullptr) return ExecuteOn(serving, request, head);
+  const uint64_t key = head.fingerprint;
 
   WallTimer timer;  // covers lookup + copy (hit) or the leader wait
   ResponseCache::Ticket ticket = cache_->Acquire(key);
   if (ticket.cached != nullptr) {
-    return FromCachePayload(*ticket.cached, request, queue_seconds, timer);
+    return FromCachePayload(*ticket.cached, head, timer);
   }
   if (!ticket.leader) {
     // Coalesced: another request with this fingerprint is mid-pipeline;
@@ -260,18 +248,18 @@ QueryResponse WwtService::ServeOn(const Serving& serving,
     // waits on a flight itself, so this wait always terminates.
     ResponseCache::Payload payload = ResponseCache::Wait(ticket.flight);
     if (payload != nullptr) {
-      return FromCachePayload(*payload, request, queue_seconds, timer);
+      return FromCachePayload(*payload, head, timer);
     }
     // The leader failed; compute for ourselves (uncached — if this
     // fails too, the caller sees its own error, not the leader's).
-    return ExecuteOn(serving, request, queue_seconds, key);
+    return ExecuteOn(serving, request, head);
   }
 
   // Leader: compute once for the cache and every coalesced follower.
   // Resolve must run on every exit path, or followers block forever.
   QueryResponse response;
   try {
-    response = ExecuteOn(serving, request, queue_seconds, key);
+    response = ExecuteOn(serving, request, head);
   } catch (...) {
     cache_->Resolve(key, nullptr);
     throw;  // Submit's worker wrapper turns this into Status::Internal
@@ -298,12 +286,11 @@ QueryResponse WwtService::ServeOn(const Serving& serving,
 }
 
 QueryResponse WwtService::FromCachePayload(const QueryResponse& payload,
-                                           const QueryRequest& request,
-                                           double queue_seconds,
+                                           const QueryResponse& head,
                                            const WallTimer& timer) const {
   QueryResponse response = payload;  // deep copy: the caller owns it
-  response.tag = request.tag;
-  response.queue_seconds = queue_seconds;
+  response.tag = head.tag;
+  response.queue_seconds = head.queue_seconds;
   response.served_from_cache = true;
   response.execute_seconds = timer.ElapsedSeconds();
   return response;
@@ -311,20 +298,9 @@ QueryResponse WwtService::FromCachePayload(const QueryResponse& payload,
 
 QueryResponse WwtService::ExecuteOn(const Serving& serving,
                                     const QueryRequest& request,
-                                    double queue_seconds,
-                                    uint64_t known_fingerprint) const {
+                                    const QueryResponse& head) const {
   const CorpusSet& corpus = *serving.corpus;
-  QueryResponse response;
-  response.tag = request.tag;
-  response.queue_seconds = queue_seconds;
-  const EngineOptions& effective =
-      request.options.has_value() ? *request.options : options_.engine;
-  if (known_fingerprint != 0) {
-    response.corpus_hash = EffectiveHash(serving);
-    response.fingerprint = known_fingerprint;
-  } else {
-    StampCacheKey(&response, request, serving);
-  }
+  QueryResponse response = head;
   if (options_.pipeline_hook) options_.pipeline_hook(response.fingerprint);
 
   // With a non-empty freshness delta captured, the engine probes its
@@ -350,7 +326,7 @@ QueryResponse WwtService::ExecuteOn(const Serving& serving,
       refs[s].probe = (*serving.remote)[s].get();
     }
   }
-  WwtEngine engine(std::move(refs), &stats, effective,
+  WwtEngine engine(std::move(refs), &stats, options_.engine,
                    serving.shard_pool.get(), overlay);
   // Remote probes bound their RPCs by the request deadline (max() =
   // none); local probes are not preempted (the PR-3 contract).
@@ -494,42 +470,26 @@ Status NoFreshness() {
 }  // namespace
 
 StatusOr<TableId> WwtService::AddTable(WebTable table) {
-  std::shared_ptr<fresh::DeltaShard> delta;
-  {
-    MutexLock lock(corpus_mu_);
-    delta = delta_;
-  }
+  std::shared_ptr<fresh::DeltaShard> delta = delta_shard();
   if (delta == nullptr) return NoFreshness();
   return delta->AddTable(std::move(table));
 }
 
 Status WwtService::UpdateTable(WebTable table) {
-  std::shared_ptr<fresh::DeltaShard> delta;
-  {
-    MutexLock lock(corpus_mu_);
-    delta = delta_;
-  }
+  std::shared_ptr<fresh::DeltaShard> delta = delta_shard();
   if (delta == nullptr) return NoFreshness();
   return delta->UpdateTable(std::move(table));
 }
 
 Status WwtService::OverrideSummary(TableId id,
                                    const fresh::SummaryOverride& patch) {
-  std::shared_ptr<fresh::DeltaShard> delta;
-  {
-    MutexLock lock(corpus_mu_);
-    delta = delta_;
-  }
+  std::shared_ptr<fresh::DeltaShard> delta = delta_shard();
   if (delta == nullptr) return NoFreshness();
   return delta->OverrideSummary(id, patch);
 }
 
 Status WwtService::TombstoneTable(TableId id) {
-  std::shared_ptr<fresh::DeltaShard> delta;
-  {
-    MutexLock lock(corpus_mu_);
-    delta = delta_;
-  }
+  std::shared_ptr<fresh::DeltaShard> delta = delta_shard();
   if (delta == nullptr) return NoFreshness();
   return delta->TombstoneTable(id);
 }
@@ -547,11 +507,7 @@ std::shared_ptr<fresh::DeltaShard> WwtService::delta_shard() const {
 Status WwtService::MergeDeltaToSet(const std::string& out_path,
                                    int num_shards,
                                    const CorpusOptions& meta) {
-  std::shared_ptr<fresh::DeltaShard> delta;
-  {
-    MutexLock lock(corpus_mu_);
-    delta = delta_;
-  }
+  std::shared_ptr<fresh::DeltaShard> delta = delta_shard();
   if (delta == nullptr) return NoFreshness();
 
   // Fold against a pinned view. Mutations racing past this point are

@@ -49,7 +49,8 @@
 namespace wwt {
 
 struct ServiceOptions {
-  /// Engine defaults for requests without a per-request override.
+  /// The engine options every request is served with; validated once,
+  /// by WwtService::Create.
   EngineOptions engine;
   /// Worker threads; 0 = ThreadPool::DefaultNumThreads().
   int num_threads = 0;
@@ -161,8 +162,9 @@ class WwtService {
   /// Back to in-process probes (no-op when none are attached).
   void DetachRemoteProbes() WWT_EXCLUDES(corpus_mu_);
 
-  /// The async primitive: validates, stamps the deadline, captures the
-  /// current corpus handle, and enqueues. The future always yields a
+  /// The async primitive: validates, captures the current corpus
+  /// handle, computes the request's cache key once (every path it takes
+  /// reports that key), and enqueues. The future always yields a
   /// QueryResponse (never throws): InvalidArgument / DeadlineExceeded /
   /// FailedPrecondition travel in QueryResponse::status.
   std::future<QueryResponse> Submit(QueryRequest request);
@@ -292,41 +294,33 @@ class WwtService {
   /// The cache-aware serving path, executed on a pool worker: LRU hit,
   /// coalesced join onto an in-flight leader, or a led ExecuteOn whose
   /// result is published to the cache and every follower. Falls through
-  /// to plain ExecuteOn when the cache is disabled.
+  /// to plain ExecuteOn when the cache is disabled. `head` is the
+  /// response as SubmitOn left it: tag, queue time, corpus_hash and
+  /// fingerprint, the cache key.
   QueryResponse ServeOn(const Serving& serving,
                         const QueryRequest& request,
-                        double queue_seconds) const;
+                        const QueryResponse& head) const;
 
   /// Runs the pipeline on `serving.corpus` (non-null) for an
-  /// already-validated request, scatter-gathering over its shards.
-  /// Executed on a pool worker. `known_fingerprint` lets the cache path
-  /// reuse the key it already computed (0 — never a real fingerprint,
-  /// see FinalizeFingerprint — means compute it here).
+  /// already-validated request, scatter-gathering over its shards, and
+  /// fills in the rest of `head`. Executed on a pool worker.
   QueryResponse ExecuteOn(const Serving& serving,
                           const QueryRequest& request,
-                          double queue_seconds,
-                          uint64_t known_fingerprint = 0) const;
+                          const QueryResponse& head) const;
 
   /// Materializes a caller-facing response from a cached payload: deep
-  /// copy + this request's tag/queue accounting, stamped
+  /// copy + this request's tag/queue accounting from `head`, stamped
   /// served_from_cache. `timer` has run since the cache was consulted,
   /// so its elapsed time (lookup + copy for a hit, leader wait for a
   /// coalesced request) becomes execute_seconds.
   QueryResponse FromCachePayload(const QueryResponse& payload,
-                                 const QueryRequest& request,
-                                 double queue_seconds,
+                                 const QueryResponse& head,
                                  const WallTimer& timer) const;
 
-  /// Fills fingerprint + corpus_hash — identically on every path a
-  /// validated request can take (served, expired anywhere, threw), so
-  /// cache keying never depends on where a failure occurred. Keys by
-  /// the EFFECTIVE hash: with a non-empty delta captured, the freshness
-  /// hash is folded in, so no cached response outlives a mutation or
-  /// crosses a merge boundary.
-  void StampCacheKey(QueryResponse* response, const QueryRequest& request,
-                     const Serving& serving) const;
-
   ServiceOptions options_;
+  /// EngineOptionsFingerprint(options_.engine), the options part of
+  /// every request fingerprint.
+  const uint64_t options_fingerprint_;
   /// Guards the swap state — the only mutable serving state the
   /// service owns. Everything a request touches after submission is the
   /// immutable Serving capture, so corpus_mu_ is held only for the

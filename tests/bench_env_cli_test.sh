@@ -30,14 +30,13 @@ done
 for value in abc -3 4.5 18446744073709551616; do
   expect_bad "$TABLE1" WWT_SEED "$value"
 done
-expect_bad "$TABLE1" WWT_SCORER bogus
 for value in abc 0 -2 2x; do
   expect_bad "$COLDSTART" WWT_COLDSTART_REPS "$value"
 done
 
-# Empty knobs mean their defaults: a small corpus, the default scorer.
-WWT_SCALE=0.05 WWT_SEED= WWT_SCORER= "$TABLE1" >"$TMP/ok.out" \
-  2>"$TMP/ok.err" || fail "empty WWT_SEED/WWT_SCORER did not run"
+# Empty knobs mean their defaults: a small corpus, the default seed.
+WWT_SCALE=0.05 WWT_SEED= "$TABLE1" >"$TMP/ok.out" \
+  2>"$TMP/ok.err" || fail "empty WWT_SEED did not run"
 grep -q '^=== Table 1: query set (scale 0.05) ===$' "$TMP/ok.out" \
   || fail "default run printed no Table 1 banner"
 

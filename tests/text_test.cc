@@ -373,12 +373,6 @@ TEST(IdfTest, UnknownTermGetsMaxWeight) {
   EXPECT_GE(idf.Idf(999), idf.Idf(1));
 }
 
-TEST(IdfTest, UniformIdfIsOne) {
-  UniformIdf idf;
-  EXPECT_DOUBLE_EQ(idf.Idf(0), 1.0);
-  EXPECT_DOUBLE_EQ(idf.Idf(12345), 1.0);
-}
-
 // ---------------------------------------------------------- SparseVector
 
 TEST(SparseVectorTest, AddAccumulates) {

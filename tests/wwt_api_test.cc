@@ -123,10 +123,10 @@ TEST(CorpusHandleTest, BorrowRemapsZeroHashLikeOwn) {
 
   // The synthetic hashes flow into distinct request fingerprints: the
   // cache can never serve one borrowed corpus's answer for the other's.
-  const QueryRequest request = QueryRequest::Of({"country"});
-  EXPECT_NE(RequestFingerprint(request, EngineOptions{},
+  const uint64_t options = EngineOptionsFingerprint(EngineOptions{});
+  EXPECT_NE(RequestFingerprint({"country"}, options,
                                borrowed_one->content_hash()),
-            RequestFingerprint(request, EngineOptions{},
+            RequestFingerprint({"country"}, options,
                                borrowed_two->content_hash()));
 }
 
@@ -137,6 +137,8 @@ TEST(WwtServiceTest, CreateRejectsInvalidOptions) {
       WwtService::Create(options);
   ASSERT_FALSE(service.ok());
   EXPECT_TRUE(service.status().IsInvalidArgument());
+  EXPECT_NE(service.status().message().find("max_candidates"),
+            std::string::npos);
 }
 
 // --------------------------------------------------- request validation
@@ -162,6 +164,13 @@ TEST(WwtServiceTest, WhitespaceColumnIsInvalidArgument) {
       service->Run(QueryRequest::Of({"country", "  \t "}).WithTag("bad"));
   EXPECT_TRUE(r.status.IsInvalidArgument());
   EXPECT_EQ(r.tag, "bad");  // tag is echoed even on errors
+  // Whitespace is the std::isspace set the canonical key drops, so a
+  // column it would key as empty never passes validation.
+  for (const std::string column : {"\v", "\f", " \v "}) {
+    EXPECT_TRUE(service->Run(QueryRequest::Of({"country", column}))
+                    .status.IsInvalidArgument())
+        << testing::PrintToString(column);
+  }
 }
 
 TEST(WwtServiceTest, OverLongColumnListIsInvalidArgument) {
@@ -174,16 +183,6 @@ TEST(WwtServiceTest, OverLongColumnListIsInvalidArgument) {
   columns.pop_back();
   EXPECT_TRUE(service->Run(QueryRequest::Of(columns))
                   .status.IsFailedPrecondition());
-}
-
-TEST(WwtServiceTest, BadPerRequestOverrideIsInvalidArgument) {
-  auto service = EmptyService();
-  EngineOptions bad;
-  bad.probe1_k = 0;
-  QueryResponse r =
-      service->Run(QueryRequest::Of({"country"}).WithOptions(bad));
-  EXPECT_TRUE(r.status.IsInvalidArgument());
-  EXPECT_NE(r.status.message().find("probe1_k"), std::string::npos);
 }
 
 // ------------------------------------------- deadline + corpus presence
@@ -239,28 +238,33 @@ TEST(CanonicalQueryKeyTest, LowercasesAndCollapsesWhitespace) {
 }
 
 TEST(RequestFingerprintTest, StableAndSensitive) {
-  const QueryRequest request = QueryRequest::Of({"country", "population"});
-  const EngineOptions options;
-  const uint64_t fp = RequestFingerprint(request, options, 0x1234);
-  // Stable: same request + same corpus hash + same options.
-  EXPECT_EQ(fp, RequestFingerprint(request, options, 0x1234));
-  // Tag and deadline do not change the answer, so not the fingerprint.
-  QueryRequest tagged = request;
-  tagged.WithTag("t").WithTimeout(10);
-  EXPECT_EQ(fp, RequestFingerprint(tagged, options, 0x1234));
+  const std::vector<std::string> columns = {"country", "population"};
+  const uint64_t options = EngineOptionsFingerprint(EngineOptions{});
+  const uint64_t fp = RequestFingerprint(columns, options, 0x1234);
+  // Stable: same columns + same corpus hash + same options.
+  EXPECT_EQ(fp, RequestFingerprint(columns, options, 0x1234));
   // Canonically-equal keywords share a fingerprint.
-  EXPECT_EQ(fp, RequestFingerprint(
-                    QueryRequest::Of({" Country ", "POPULATION"}), options,
-                    0x1234));
-  // Different corpus content hash -> different fingerprint.
-  EXPECT_NE(fp, RequestFingerprint(request, options, 0x5678));
-  // Different result-affecting options -> different fingerprint.
-  EngineOptions other = options;
-  other.probe1_k += 10;
-  EXPECT_NE(fp, RequestFingerprint(request, other, 0x1234));
-  // Different columns -> different fingerprint.
-  EXPECT_NE(fp, RequestFingerprint(QueryRequest::Of({"country"}), options,
+  EXPECT_EQ(fp, RequestFingerprint({" Country ", "POPULATION"}, options,
                                    0x1234));
+  // Different corpus content hash -> different fingerprint.
+  EXPECT_NE(fp, RequestFingerprint(columns, options, 0x5678));
+  // Different result-affecting options -> different fingerprint.
+  EngineOptions other;
+  other.probe1_k += 10;
+  EXPECT_NE(fp, RequestFingerprint(columns, EngineOptionsFingerprint(other),
+                                   0x1234));
+  // Different columns -> different fingerprint.
+  EXPECT_NE(fp, RequestFingerprint({"country"}, options, 0x1234));
+}
+
+// The response cache is keyed by this value and wwt_serve prints it, so
+// it is pinned for a fixed request, the default options and a fixed
+// corpus hash: a change to the key's inputs or their order fails here.
+TEST(RequestFingerprintTest, DefaultOptionsKeyIsPinned) {
+  EXPECT_EQ(RequestFingerprint({"country", "population"},
+                               EngineOptionsFingerprint(EngineOptions{}),
+                               0x1234),
+            0x9c7dcbd0038cd087ULL);
 }
 
 TEST(RequestFingerprintTest, ZeroHashRemapsToTheReservedKey) {
@@ -279,8 +283,8 @@ TEST(RequestFingerprintTest, ZeroHashRemapsToTheReservedKey) {
                 "the reserved value maps to itself (two inputs share it "
                 "by design; neither is ever the sentinel)");
   // Every real fingerprint goes through the finalizer.
-  EXPECT_NE(RequestFingerprint(QueryRequest::Of({"country"}),
-                               EngineOptions{}, 0),
+  EXPECT_NE(RequestFingerprint({"country"},
+                               EngineOptionsFingerprint(EngineOptions{}), 0),
             0u);
 }
 

@@ -352,9 +352,11 @@ class ResponseCacheServiceTest : public ::testing::Test {
 
   static std::unique_ptr<WwtService> CachedService(const Corpus* corpus,
                                                    uint64_t hash,
-                                                   int threads = 2) {
+                                                   int threads = 2,
+                                                   EngineOptions engine = {}) {
     ServiceOptions options;
     options.num_threads = threads;
+    options.engine = std::move(engine);
     options.cache.capacity_bytes = 256ull << 20;
     StatusOr<std::unique_ptr<WwtService>> service =
         WwtService::Create(options);
@@ -394,36 +396,38 @@ TEST_F(ResponseCacheServiceTest, HitsAreByteIdenticalAcrossFullWorkload) {
   EXPECT_GE(service->cache_stats().hits, s.queries.size());
 }
 
-TEST_F(ResponseCacheServiceTest, DistinctOptionOverridesGetDistinctKeys) {
+TEST_F(ResponseCacheServiceTest, DistinctServiceOptionsGetDistinctKeys) {
   const Shared& s = GetShared();
-  auto service = CachedService(&s.corpus_a, kHashA);
   const std::vector<std::string>& q = s.queries[0];
-
-  QueryResponse base = service->Run(QueryRequest::Of(q));
-  ASSERT_TRUE(base.ok()) << base.status;
-  EXPECT_FALSE(base.served_from_cache);
-
-  // A different override is a different key: never served the base
-  // answer, and its cold recomputation matches a direct tight engine.
   EngineOptions tight;
   tight.probe1_k = 1;
   tight.max_candidates = 1;
-  QueryResponse first =
-      service->Run(QueryRequest::Of(q).WithOptions(tight));
+  auto base_service = CachedService(&s.corpus_a, kHashA);
+  auto tight_service = CachedService(&s.corpus_a, kHashA, 2, tight);
+
+  QueryResponse base = base_service->Run(QueryRequest::Of(q));
+  ASSERT_TRUE(base.ok()) << base.status;
+  EXPECT_FALSE(base.served_from_cache);
+
+  // Other options are another key: the same query on the same corpus is
+  // never keyed like the base answer, and its cold run matches a
+  // direct tight engine.
+  QueryResponse first = tight_service->Run(QueryRequest::Of(q));
   ASSERT_TRUE(first.ok()) << first.status;
   EXPECT_FALSE(first.served_from_cache);
   EXPECT_NE(first.fingerprint, base.fingerprint);
   WwtEngine tight_engine(&s.corpus_a.store, s.corpus_a.index.get(), tight);
   EXPECT_EQ(ResultDigest(first), ResultDigest(tight_engine.Execute(q)));
 
-  // Both keys now hit independently, each byte-identical to its own
-  // cold run.
-  QueryResponse base_again = service->Run(QueryRequest::Of(q));
-  QueryResponse tight_again =
-      service->Run(QueryRequest::Of(q).WithOptions(tight));
+  // Each service now hits its own key, byte-identical to its own cold
+  // run.
+  QueryResponse base_again = base_service->Run(QueryRequest::Of(q));
+  QueryResponse tight_again = tight_service->Run(QueryRequest::Of(q));
   ASSERT_TRUE(base_again.ok() && tight_again.ok());
   EXPECT_TRUE(base_again.served_from_cache);
   EXPECT_TRUE(tight_again.served_from_cache);
+  EXPECT_EQ(base_again.fingerprint, base.fingerprint);
+  EXPECT_EQ(tight_again.fingerprint, first.fingerprint);
   EXPECT_EQ(ResultDigest(base_again), ResultDigest(base));
   EXPECT_EQ(ResultDigest(tight_again), ResultDigest(first));
 }

@@ -73,9 +73,11 @@ class WwtServiceCorpusTest : public ::testing::Test {
   }
 
   static std::unique_ptr<WwtService> ServiceOver(
-      const Corpus* corpus, uint64_t hash, int threads) {
+      const Corpus* corpus, uint64_t hash, int threads,
+      EngineOptions engine = {}) {
     ServiceOptions options;
     options.num_threads = threads;
+    options.engine = std::move(engine);
     StatusOr<std::unique_ptr<WwtService>> service =
         WwtService::Create(options);
     EXPECT_TRUE(service.ok());
@@ -150,23 +152,26 @@ TEST_F(WwtServiceCorpusTest, RunBatchKeepsBatchStats) {
   EXPECT_EQ(service->RunBatch(three).stats.concurrency, 2);
 }
 
-TEST_F(WwtServiceCorpusTest, PerRequestOverrideAppliesAndChangesFingerprint) {
+TEST_F(WwtServiceCorpusTest, ServiceOptionsApplyAndChangeFingerprint) {
   const Shared& s = GetShared();
-  auto service = ServiceOver(&s.corpus_a, kHashA, 2);
   const std::vector<std::string> q = {"country", "population"};
 
-  QueryResponse base = service->Run(QueryRequest::Of(q));
+  QueryResponse base =
+      ServiceOver(&s.corpus_a, kHashA, 2)->Run(QueryRequest::Of(q));
   ASSERT_TRUE(base.ok()) << base.status;
 
   EngineOptions tight;
   tight.probe1_k = 1;
   tight.max_candidates = 1;
-  QueryResponse limited = service->Run(QueryRequest::Of(q).WithOptions(tight));
+  QueryResponse limited =
+      ServiceOver(&s.corpus_a, kHashA, 2, tight)->Run(QueryRequest::Of(q));
   ASSERT_TRUE(limited.ok()) << limited.status;
   EXPECT_LE(limited.retrieval.tables.size(), 1u);
   EXPECT_LT(limited.retrieval.tables.size(), base.retrieval.tables.size());
-  // The effective options are part of the cache key.
+  // The service's options are part of the cache key.
   EXPECT_NE(limited.fingerprint, base.fingerprint);
+  EXPECT_EQ(limited.fingerprint,
+            RequestFingerprint(q, EngineOptionsFingerprint(tight), kHashA));
 }
 
 TEST_F(WwtServiceCorpusTest, DeadlineCanExpireInTheQueue) {
@@ -238,8 +243,9 @@ TEST_F(WwtServiceCorpusTest, SwapCorpusRacingInFlightBatchIsByteIdentical) {
   ASSERT_TRUE(after.ok()) << after.status;
   EXPECT_EQ(after.corpus_hash, kHashB);
   EXPECT_EQ(after.fingerprint,
-            RequestFingerprint(QueryRequest::Of(queries[0]),
-                               service->engine_options(), kHashB));
+            RequestFingerprint(
+                queries[0], EngineOptionsFingerprint(service->engine_options()),
+                kHashB));
 }
 
 TEST_F(WwtServiceCorpusTest, FingerprintStableAcrossSubmissionsAndCorpora) {

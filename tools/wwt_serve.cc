@@ -57,10 +57,9 @@
 // serving an explicitly marked partial answer when a shard has no
 // live worker.
 //
-// --k overrides the top-k of BOTH index probes; --scorer picks the
-// probe algorithm (block-max WAND by default, exhaustive as the
-// reference — answers are identical either way, see docs/RETRIEVAL.md).
-// Both land in the summary so recorded runs identify their scorer.
+// --k overrides the top-k of BOTH index probes, and the summary
+// reports the k in force. The flags set one EngineOptions for the whole
+// process; every query is served with it.
 //
 // The fingerprint-keyed response cache is on by default (--cache-mb 64,
 // no TTL): repeated queries are answered from memory, concurrent
@@ -86,7 +85,6 @@
 #include "fresh/merge.h"
 #include "fresh/mutation_line.h"
 #include "index/snapshot.h"
-#include "index/table_index.h"
 #include "net/shard_client.h"
 #include "util/hash.h"
 #include "util/string_util.h"
@@ -180,7 +178,7 @@ int Usage(const char* argv0) {
                "          [--queries FILE | --stdin] [--format text|json]\n"
                "          [--deadline-ms D] [--quiet]\n"
                "          [--cache-mb MB] [--cache-ttl-ms T | --no-cache]\n"
-               "          [--k K] [--scorer wand|exhaustive]\n"
+               "          [--k K]\n"
                "          [--worker ADDR[,ADDR...]]... [--hedge-ms H]\n"
                "          [--rpc-timeout-ms T] [--on-dead-shard "
                "fail|partial]\n"
@@ -205,7 +203,6 @@ int main(int argc, char** argv) {
   int threads = 0;
   int batch_mult = 1;
   int probe_k = 0;  // 0 = engine default for both probes
-  wwt::ProbeScorer scorer = wwt::ProbeScorer::kWand;
   double deadline_ms = 0;  // 0 = none
   double cache_mb = 64;    // response cache budget; see --no-cache
   double cache_ttl_ms = 0;  // 0 = entries never expire
@@ -289,10 +286,6 @@ int main(int argc, char** argv) {
         cache_flag_set = true;
       } else if (arg == "--k") {
         if (!count(1, &probe_k)) return bad("a positive top-k");
-      } else if (arg == "--scorer") {
-        if (!wwt::ParseProbeScorer(v, &scorer)) {
-          return bad("'wand' or 'exhaustive'");
-        }
       } else if (arg == "--worker") {
         std::vector<std::string> replicas = wwt::SplitTrimmed(v, ',');
         for (const std::string& replica : replicas) {
@@ -381,7 +374,6 @@ int main(int argc, char** argv) {
   wwt::WallTimer load_timer;
   wwt::ServiceOptions service_options;
   service_options.num_threads = threads;
-  service_options.engine.scorer = scorer;
   if (probe_k > 0) {
     service_options.engine.probe1_k = probe_k;
     service_options.engine.probe2_k = probe_k;
@@ -753,7 +745,7 @@ int main(int argc, char** argv) {
   if (json) {
     std::printf(
         "{\"summary\": {\"queries\": %zu, \"failed\": %zu, "
-        "\"scorer\": \"%s\", \"probe_k\": [%d, %d], "
+        "\"probe_k\": [%d, %d], "
         "\"wall_seconds\": %.4f, \"qps\": %.2f, \"concurrency\": %d, "
         "\"latency_ms\": {\"mean\": %.3f, \"p50\": %.3f, \"p95\": %.3f, "
         "\"p99\": %.3f}, \"load_seconds\": %.4f, \"corpus_hash\": "
@@ -765,9 +757,7 @@ int main(int argc, char** argv) {
         "\"shards\": %zu, \"tables\": %llu, \"format\": %u, "
         "\"mapped_bytes\": %llu, \"heap_bytes\": %llu, \"threads\": %d, "
         "\"shard_threads\": %d}",
-        s.num_queries, failed,
-        wwt::ProbeScorerName((*service)->engine_options().scorer),
-        (*service)->engine_options().probe1_k,
+        s.num_queries, failed, (*service)->engine_options().probe1_k,
         (*service)->engine_options().probe2_k, s.wall_seconds, s.qps,
         s.concurrency,
         s.latency.mean * 1e3, s.latency.p50 * 1e3, s.latency.p95 * 1e3,
@@ -800,9 +790,8 @@ int main(int argc, char** argv) {
     std::printf("}}\n");
   } else {
     std::printf("\n%zu queries in %.2f s — %.1f QPS at concurrency %d "
-                "(%s scorer, k=%d/%d)\n",
+                "(k=%d/%d)\n",
                 s.num_queries, s.wall_seconds, s.qps, s.concurrency,
-                wwt::ProbeScorerName((*service)->engine_options().scorer),
                 (*service)->engine_options().probe1_k,
                 (*service)->engine_options().probe2_k);
     std::printf("latency ms: mean %.1f  p50 %.1f  p95 %.1f  p99 %.1f\n",
